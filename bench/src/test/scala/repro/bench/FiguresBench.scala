@@ -22,9 +22,7 @@ class F7ab_GainOverVCoDABench extends BenchBase {
 class F8_EffectOfKBench extends BenchBase {
   test("effect of k") {
     warmup()
-    val out = Experiments.DatasetNames.map { n =>
-      Experiments.effectOfK(n, Experiments.BenchScales(n), withNaive = n != "Brinkhoff")
-    }.mkString
+    val out = Experiments.effectOf(Experiments.EffectOfK, Experiments.BenchScales)
     record("f8_effect_of_k", out)
     // Shape: at the largest k on the largest dataset every k2 variant beats VCoDA*.
     val row = out.linesIterator.find(l => l.startsWith("RESULT|EFFK|Brinkhoff") && l.contains("k=150")).get
@@ -38,9 +36,7 @@ class F8_EffectOfKBench extends BenchBase {
 class F8_EffectOfMBench extends BenchBase {
   test("effect of m") {
     warmup()
-    val out = Experiments.DatasetNames.map { n =>
-      Experiments.effectOfM(n, Experiments.BenchScales(n), withNaive = n != "Brinkhoff")
-    }.mkString
+    val out = Experiments.effectOf(Experiments.EffectOfM, Experiments.BenchScales)
     record("f8_effect_of_m", out)
     assert(out.linesIterator.count(_.startsWith("RESULT|EFFM|")) == 9)
   }
@@ -50,9 +46,7 @@ class F8_EffectOfMBench extends BenchBase {
 class F8_EffectOfEpsBench extends BenchBase {
   test("effect of eps") {
     warmup()
-    val out = Experiments.DatasetNames.map { n =>
-      Experiments.effectOfEps(n, Experiments.BenchScales(n), withNaive = n != "Brinkhoff")
-    }.mkString
+    val out = Experiments.effectOf(Experiments.EffectOfEps, Experiments.BenchScales)
     record("f8_effect_of_eps", out)
     assert(out.linesIterator.count(_.startsWith("RESULT|EFFEPS|")) == 9)
   }

@@ -39,33 +39,19 @@ object GainOverVCoDAJob {
   }
 }
 
-/** Fig 7h/8a/8b: effect of k per dataset (VCoDA naive skipped on Brinkhoff,
-  * as in the paper where it crashed).
-  */
+/** Fig 7h/8a/8b: effect of k per dataset. */
 object EffectOfKJob {
-  def main(args: Array[String]): Unit = {
-    val scales = JobSession.scales
-    Experiments.DatasetNames.foreach(n =>
-      Experiments.effectOfK(n, scales(n), withNaive = n != "Brinkhoff"))
-  }
+  def main(args: Array[String]): Unit = { Experiments.effectOf(Experiments.EffectOfK, JobSession.scales); () }
 }
 
 /** Fig 8c/8d/8e: effect of m per dataset. */
 object EffectOfMJob {
-  def main(args: Array[String]): Unit = {
-    val scales = JobSession.scales
-    Experiments.DatasetNames.foreach(n =>
-      Experiments.effectOfM(n, scales(n), withNaive = n != "Brinkhoff"))
-  }
+  def main(args: Array[String]): Unit = { Experiments.effectOf(Experiments.EffectOfM, JobSession.scales); () }
 }
 
 /** Fig 8f/8g/8h: effect of eps per dataset. */
 object EffectOfEpsJob {
-  def main(args: Array[String]): Unit = {
-    val scales = JobSession.scales
-    Experiments.DatasetNames.foreach(n =>
-      Experiments.effectOfEps(n, scales(n), withNaive = n != "Brinkhoff"))
-  }
+  def main(args: Array[String]): Unit = { Experiments.effectOf(Experiments.EffectOfEps, JobSession.scales); () }
 }
 
 /** Fig 8i/8j: phase breakdown and pre-validation convoy counts. */

@@ -14,30 +14,10 @@ import ObjSets.ObjSet
   * sub-cluster continues as its own candidate. After the right pass, every
   * right-closed convoy is extended to the left the same way; only then is
   * the minimum-length constraint k applied (a convoy too short after the
-  * right pass may still reach k by growing left).
+  * right pass may still reach k by growing left); `KHalfHop.finish` runs
+  * both passes for the sequential and the Spark driver.
   */
 object Extend {
-
-  /** Right-then-left extension of all maximal spanning convoys; returns the
-    * extended candidates of length ≥ k ("semi-connected convoys" — FC
-    * validation still pending).
-    */
-  def extendAll(
-      select: (Int, ObjSet) => Array[Pt],
-      tsMin: Int,
-      tsMax: Int,
-      vm: Vector[Convoy],
-      eps: Double,
-      m: Int,
-      k: Int,
-      counter: PointCounter,
-  ): Vector[Convoy] = {
-    val rightClosed = mutable.ArrayBuffer.empty[Convoy]
-    vm.foreach(v => extendOne(select, v, tsMax, forward = true, eps, m, counter, rightClosed))
-    val leftClosed = mutable.ArrayBuffer.empty[Convoy]
-    rightClosed.foreach(v => extendOne(select, v, tsMin, forward = false, eps, m, counter, leftClosed))
-    ConvoySets.maximal(leftClosed.filter(_.len >= k))
-  }
 
   /** Extend one convoy until every descendant candidate is closed; closed
     * candidates are merged into `acc` maximally. `forward = true` extends

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 import ObjSets.ObjSet
 import repro.store.TrajectoryStore
 
@@ -12,7 +14,9 @@ import repro.store.TrajectoryStore
   * Pipeline: benchmark clustering → candidate clusters → HWMT per
   * hop-window → DCM merge → right/left extension → FC validation. Each
   * phase is timed and the points fed to DBSCAN are counted for the pruning
-  * statistics of Table 5.
+  * statistics of Table 5. The Spark driver (`repro.spark.SparkKHalfHop`)
+  * reuses the benchmark-point, candidate and finish stages below and only
+  * changes where the points come from.
   */
 object KHalfHop {
 
@@ -58,20 +62,73 @@ object KHalfHop {
       if (totalPoints == 0) 0.0 else 100.0 * (totalPoints - pointsProcessed) / totalPoints
   }
 
+  /** Benchmark points b_i = ts + i*floor(k/2) over [ts, te] (Lemma 3). */
+  def benchmarkPoints(ts: Int, te: Int, k: Int): Vector[Int] = (ts to te by (k / 2)).toVector
+
+  /** Candidate clusters per hop-window (Lemma 5): the intersections of the
+    * cluster sets at adjacent benchmark points that keep at least m objects.
+    * `benchClusters(i)` holds the clusters at benchmark point b_i.
+    */
+  def candidates(benchClusters: Vector[Vector[ObjSet]], m: Int): Vector[Vector[ObjSet]] =
+    (0 until benchClusters.length - 1).toVector.map { i =>
+      for {
+        a <- benchClusters(i)
+        b <- benchClusters(i + 1)
+        o = ObjSets.intersect(a, b)
+        if o.length >= m
+      } yield o
+    }
+
+  /** Output of [[finish]]: the extended candidates of length >= k, the
+    * sorted maximal FC convoys, and the wall time of each phase.
+    */
+  final case class Finished(
+      preValidation: Vector[Convoy],
+      convoys: Vector[Convoy],
+      extendRightMs: Long,
+      extendLeftMs: Long,
+      validateMs: Long,
+  )
+
+  /** Steps 5–6 of Algorithm 1 on the maximal spanning convoys `vm`: extend
+    * right to `te`, then left to `ts`, keep the maximal candidates of length
+    * >= k, and validate them to fully connected convoys.
+    */
+  def finish(
+      select: (Int, ObjSet) => Array[Pt],
+      ts: Int,
+      te: Int,
+      vm: Vector[Convoy],
+      p: Params,
+      counter: PointCounter,
+  ): Finished = {
+    val (rightClosed, extendRightMs) = timed {
+      val acc = mutable.ArrayBuffer.empty[Convoy]
+      vm.foreach(v => Extend.extendOne(select, v, te, forward = true, p.eps, p.m, counter, acc))
+      acc.toVector
+    }
+    val (ve, extendLeftMs) = timed {
+      val acc = mutable.ArrayBuffer.empty[Convoy]
+      rightClosed.foreach(v => Extend.extendOne(select, v, ts, forward = false, p.eps, p.m, counter, acc))
+      ConvoySets.maximal(acc.filter(_.len >= p.k))
+    }
+    val (vfc, validateMs) = timed(Validate.fullyConnected(ve, select, p.eps, p.m, p.k, counter))
+    Finished(ve, ConvoySets.sorted(vfc), extendRightMs, extendLeftMs, validateMs)
+  }
+
+  private def timed[A](f: => A): (A, Long) = {
+    val t0 = System.nanoTime()
+    val r = f
+    (r, (System.nanoTime() - t0) / 1000000L)
+  }
+
   /** Mine all maximal FC convoys of `store` and report statistics. */
   def run(store: TrajectoryStore, p: Params): (Vector[Convoy], Stats) = {
     val counter = new PointCounter
-    val h = p.k / 2
     val select: (Int, ObjSet) => Array[Pt] = (t, objs) => store.select(t, objs)
 
-    def timed[A](f: => A): (A, Long) = {
-      val t0 = System.nanoTime()
-      val r = f
-      (r, (System.nanoTime() - t0) / 1000000L)
-    }
-
-    // Step 1: cluster the benchmark points b_i = Ts + i*floor(k/2).
-    val bps = (store.ts to store.te by h).toVector
+    // Step 1: cluster the benchmark points.
+    val bps = benchmarkPoints(store.ts, store.te, p.k)
     val (benchClusters, benchmarkMs) = timed {
       bps.map { b =>
         val pts = store.snapshot(b)
@@ -80,18 +137,8 @@ object KHalfHop {
       }
     }
 
-    // Step 2: candidate clusters per hop-window — set-wise intersection of
-    // adjacent benchmark cluster sets, keeping intersections of size >= m.
-    val (cc, candidateMs) = timed {
-      (0 until bps.length - 1).toVector.map { i =>
-        for {
-          a <- benchClusters(i)
-          b <- benchClusters(i + 1)
-          o = ObjSets.intersect(a, b)
-          if o.length >= p.m
-        } yield o
-      }
-    }
+    // Step 2: candidate clusters per hop-window.
+    val (cc, candidateMs) = timed(candidates(benchClusters, p.m))
 
     // Step 3: HWMT — 1st-order spanning convoys per hop-window.
     val (spanning, hwmtMs) = timed {
@@ -104,22 +151,8 @@ object KHalfHop {
     // Step 4: merge into maximal spanning convoys.
     val (vm, mergeMs) = timed(Merge.mergeSpanning(spanning, p.m))
 
-    // Step 5: extend right, then left; apply the k filter.
-    val (rightClosed, extendRightMs) = timed {
-      val acc = scala.collection.mutable.ArrayBuffer.empty[Convoy]
-      vm.foreach(v => Extend.extendOne(select, v, store.te, forward = true, p.eps, p.m, counter, acc))
-      acc.toVector
-    }
-    val (ve, extendLeftMs) = timed {
-      val acc = scala.collection.mutable.ArrayBuffer.empty[Convoy]
-      rightClosed.foreach(v => Extend.extendOne(select, v, store.ts, forward = false, p.eps, p.m, counter, acc))
-      ConvoySets.maximal(acc.filter(_.len >= p.k))
-    }
-
-    // Step 6: validate to fully connected convoys.
-    val (vfc, validateMs) = timed(
-      Validate.fullyConnected(ve, select, p.eps, p.m, p.k, counter)
-    )
+    // Steps 5-6: extend, k filter, validate.
+    val done = finish(select, store.ts, store.te, vm, p, counter)
 
     val stats = Stats(
       totalPoints = store.totalPoints,
@@ -129,10 +162,11 @@ object KHalfHop {
       candidateClusters = cc.map(_.length).sum,
       spanningConvoys = spanning.map(_.length).sum,
       maximalSpanning = vm.length,
-      preValidationConvoys = ve.length,
-      convoys = vfc.length,
-      phases = Phases(benchmarkMs, candidateMs, hwmtMs, mergeMs, extendRightMs, extendLeftMs, validateMs),
+      preValidationConvoys = done.preValidation.length,
+      convoys = done.convoys.length,
+      phases = Phases(benchmarkMs, candidateMs, hwmtMs, mergeMs, done.extendRightMs, done.extendLeftMs,
+        done.validateMs),
     )
-    (ConvoySets.sorted(vfc), stats)
+    (done.convoys, stats)
   }
 }

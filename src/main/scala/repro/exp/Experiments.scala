@@ -90,11 +90,17 @@ object Experiments {
 
   def emit(sb: StringBuilder, line: String): Unit = { println(line); sb.append(line).append('\n') }
 
+  /** The lines `body` emits, as one string. */
+  private def report(body: StringBuilder => Unit): String = {
+    val sb = new StringBuilder
+    body(sb)
+    sb.toString
+  }
+
   // ------------------------------------------------------------------
   // Table 4: Brinkhoff dataset properties.
   // ------------------------------------------------------------------
-  def table4(scale: Double = 1.0): String = {
-    val sb = new StringBuilder
+  def table4(scale: Double = 1.0): String = report { sb =>
     val net = new GridNetwork(24, 24, 500.0)
     val data = TrajGen.brinkhoffLite(scale)
     val objs = data.iterator.map(_._2.oid).toSet.size
@@ -111,14 +117,12 @@ object Experiments {
     rows.foreach { case (prop, paper, ours) =>
       emit(sb, f"RESULT|T4|$prop%-20s|paper=$paper%-12s|ours=$ours")
     }
-    sb.toString
   }
 
   // ------------------------------------------------------------------
   // Table 5: data pruning performance over a (m, k, eps) grid.
   // ------------------------------------------------------------------
-  def table5(scales: Map[String, Double] = Map().withDefaultValue(1.0)): String = {
-    val sb = new StringBuilder
+  def table5(scales: Map[String, Double] = Map().withDefaultValue(1.0)): String = report { sb =>
     emit(sb, "== Table 5: k/2-hop data pruning performance ==")
     val grid = for {
       m <- Seq(3, 6, 9); k <- Seq(20, 60, 120); eps <- Seq(15.0, 25.0, 50.0)
@@ -141,15 +145,13 @@ object Experiments {
     emit(sb, "paper: Trucks total=366202 proc=571..57031 prune=84.43..99.84% | " +
       "T-Drive total=29384000 proc=49038..500691 prune=98.3..99.83% | " +
       "Brinkhoff total=122014762 proc=205331..1221697 prune=99..99.83%")
-    sb.toString
   }
 
   // ------------------------------------------------------------------
   // Fig 7a/7b: gain of k2-RDBMS / k2-LSMT over VCoDA* vs k (min/median/
   // mean/max over an (m, eps) grid).
   // ------------------------------------------------------------------
-  def gainOverVCoDA(name: String, scale: Double, ks: Seq[Int] = Seq(20, 60, 120)): String = {
-    val sb = new StringBuilder
+  def gainOverVCoDA(name: String, scale: Double, ks: Seq[Int] = Seq(20, 60, 120)): String = report { sb =>
     emit(sb, s"== Fig 7a/7b: gain over VCoDA* on $name ==")
     val data = dataset(name, scale)
     val grid = for (m <- Seq(3, 6); eps <- Seq(15.0, 25.0)) yield (m, eps)
@@ -166,89 +168,53 @@ object Experiments {
         f"median=$median%7.2f|mean=${gains.sum / gains.length}%7.2f|max=${gains.max}%7.2f")
     }
     emit(sb, "paper: k2-RDBMS up to 8x (Trucks), up to 260x (T-Drive) over VCoDA*")
-    sb.toString
   }
 
   // ------------------------------------------------------------------
-  // Fig 7c + 7h/8a/8b: effect of k on runtime, all algorithms.
+  // Fig 7c + 7h/8a/8b, 8c/8d/8e, 8f/8g/8h: effect of k, m and eps on
+  // runtime, all algorithms.
   // ------------------------------------------------------------------
-  def effectOfK(name: String, scale: Double, ks: Seq[Int] = Seq(20, 40, 60, 100, 150),
-                withNaive: Boolean = true): String = {
-    val sb = new StringBuilder
-    emit(sb, s"== Fig 7h/8a/8b: effect of k on $name ==")
-    val data = dataset(name, scale)
-    for (k <- ks) {
-      val p = DefaultParams.copy(k = k)
-      val vMs = if (withNaive) Some(runVCoDA(data, p, indexed = false)._2) else None
-      val vStarMs = runVCoDA(data, p, indexed = true)._2
-      val variants = storeVariants(data).map { case (vn, mk) =>
-        val store = mk()
-        try { val (_, ms) = timeMs(KHalfHop.run(store, p)); vn -> ms }
-        finally store.close()
-      }
-      val naiveCol = vMs.map(ms => f"VCoDA=$ms%9.1f|").getOrElse("VCoDA=  crashed|")
-      emit(sb, f"RESULT|EFFK|$name%-10s|k=$k%-4d|" + naiveCol + f"VCoDA*=$vStarMs%9.1f|" +
-        variants.map { case (vn, ms) => f"$vn=$ms%9.1f" }.mkString("|"))
-    }
-    emit(sb, "paper: VCoDA/VCoDA* flat in k; k2-* decreasing in k; VCoDA crashed on Brinkhoff")
-    sb.toString
-  }
 
-  // ------------------------------------------------------------------
-  // Fig 8c/8d/8e: effect of m.
-  // ------------------------------------------------------------------
-  def effectOfM(name: String, scale: Double, ms: Seq[Int] = Seq(3, 6, 9),
-                withNaive: Boolean = true): String = {
-    val sb = new StringBuilder
-    emit(sb, s"== Fig 8c/8d/8e: effect of m on $name ==")
-    val data = dataset(name, scale)
-    for (m <- ms) {
-      val p = DefaultParams.copy(m = m)
-      val naiveCol =
-        if (withNaive) f"VCoDA=${runVCoDA(data, p, indexed = false)._2}%9.1f|" else "VCoDA=  crashed|"
-      val vStarMs = runVCoDA(data, p, indexed = true)._2
-      val variants = storeVariants(data).map { case (vn, mk) =>
-        val store = mk()
-        try { val (_, msr) = timeMs(KHalfHop.run(store, p)); vn -> msr }
-        finally store.close()
-      }
-      emit(sb, f"RESULT|EFFM|$name%-10s|m=$m%-2d|" + naiveCol + f"VCoDA*=$vStarMs%9.1f|" +
-        variants.map { case (vn, t) => f"$vn=$t%9.1f" }.mkString("|"))
-    }
-    emit(sb, "paper: k2-* runtime decreases as m increases (fewer candidate clusters)")
-    sb.toString
-  }
+  /** One axis of the parameter sweep: the figures it reproduces, the swept
+    * parameter, the `RESULT` tag, each point's row label and parameters, and
+    * the paper's finding.
+    */
+  final case class Axis(figures: String, param: String, tag: String, points: Seq[(String, Params)], paper: String)
 
-  // ------------------------------------------------------------------
-  // Fig 8f/8g/8h: effect of eps.
-  // ------------------------------------------------------------------
-  def effectOfEps(name: String, scale: Double, epss: Seq[Double] = Seq(10.0, 30.0, 100.0),
-                  withNaive: Boolean = true): String = {
-    val sb = new StringBuilder
-    emit(sb, s"== Fig 8f/8g/8h: effect of eps on $name ==")
-    val data = dataset(name, scale)
-    for (eps <- epss) {
-      val p = DefaultParams.copy(eps = eps)
-      val naiveCol =
-        if (withNaive) f"VCoDA=${runVCoDA(data, p, indexed = false)._2}%9.1f|" else "VCoDA=  crashed|"
-      val vStarMs = runVCoDA(data, p, indexed = true)._2
-      val variants = storeVariants(data).map { case (vn, mk) =>
-        val store = mk()
-        try { val (_, msr) = timeMs(KHalfHop.run(store, p)); vn -> msr }
-        finally store.close()
+  val EffectOfK: Axis = Axis("7h/8a/8b", "k", "EFFK",
+    Seq(20, 40, 60, 100, 150).map(k => f"k=$k%-4d" -> DefaultParams.copy(k = k)),
+    "paper: VCoDA/VCoDA* flat in k; k2-* decreasing in k; VCoDA crashed on Brinkhoff")
+
+  val EffectOfM: Axis = Axis("8c/8d/8e", "m", "EFFM",
+    Seq(3, 6, 9).map(m => f"m=$m%-2d" -> DefaultParams.copy(m = m)),
+    "paper: k2-* runtime decreases as m increases (fewer candidate clusters)")
+
+  val EffectOfEps: Axis = Axis("8f/8g/8h", "eps", "EFFEPS",
+    Seq(10.0, 30.0, 100.0).map(eps => f"eps=$eps%5.0f" -> DefaultParams.copy(eps = eps)),
+    "paper: larger eps => more/larger clusters that never become convoys => slower")
+
+  /** Time every algorithm at each point of `axis` on every dataset. VCoDA
+    * (naive) is skipped on Brinkhoff, where the paper reports it crashed.
+    */
+  def effectOf(axis: Axis, scales: Map[String, Double]): String = report { sb =>
+    for (name <- DatasetNames) {
+      emit(sb, s"== Fig ${axis.figures}: effect of ${axis.param} on $name ==")
+      val data = dataset(name, scales(name))
+      for ((label, p) <- axis.points) {
+        val naiveCol =
+          if (name != "Brinkhoff") f"VCoDA=${runVCoDA(data, p, indexed = false)._2}%9.1f|" else "VCoDA=  crashed|"
+        val vStarMs = runVCoDA(data, p, indexed = true)._2
+        val variants = storeVariants(data).map { case (vn, _) => f"$vn=${runK2(vn, data, p)._3}%9.1f" }
+        emit(sb, f"RESULT|${axis.tag}|$name%-10s|$label|" + naiveCol + f"VCoDA*=$vStarMs%9.1f|" + variants.mkString("|"))
       }
-      emit(sb, f"RESULT|EFFEPS|$name%-10s|eps=$eps%5.0f|" + naiveCol + f"VCoDA*=$vStarMs%9.1f|" +
-        variants.map { case (vn, t) => f"$vn=$t%9.1f" }.mkString("|"))
+      emit(sb, axis.paper)
     }
-    emit(sb, "paper: larger eps => more/larger clusters that never become convoys => slower")
-    sb.toString
   }
 
   // ------------------------------------------------------------------
   // Fig 8i: phase breakdown of k2-LSMT; Fig 8j: pre-validation counts.
   // ------------------------------------------------------------------
-  def phasesAndPreValidation(name: String, scale: Double, ks: Seq[Int] = Seq(20, 40, 60, 100, 150)): String = {
-    val sb = new StringBuilder
+  def phasesAndPreValidation(name: String, scale: Double, ks: Seq[Int] = Seq(20, 40, 60, 100, 150)): String = report { sb =>
     emit(sb, s"== Fig 8i/8j: k2-LSMT phase times and pre-validation convoy counts on $name ==")
     val data = dataset(name, scale)
     val store = LsmStore.create(data)
@@ -266,14 +232,12 @@ object Experiments {
       }
     } finally store.close()
     emit(sb, "paper: HWMT dominates, extension second; k2 preval counts slightly below VCoDA's")
-    sb.toString
   }
 
   // ------------------------------------------------------------------
   // Fig 8k: effect of convoy count (more planted groups => more work).
   // ------------------------------------------------------------------
-  def convoyCount(scale: Double = 1.0): String = {
-    val sb = new StringBuilder
+  def convoyCount(scale: Double = 1.0): String = report { sb =>
     emit(sb, "== Fig 8k: effect of convoy count (Trucks-like data) ==")
     val groupSets = Seq(0, 1, 2, 4, 8)
     for (g <- groupSets) {
@@ -293,14 +257,12 @@ object Experiments {
       emit(sb, f"RESULT|CONVCNT|groups=$g%-2d|convoys=${convoysR.length}%3d|k2-RDBMS=$rMs%8.1f|k2-LSMT=$lMs%8.1f")
     }
     emit(sb, "paper: execution time generally increases with the number of convoys found")
-    sb.toString
   }
 
   // ------------------------------------------------------------------
   // Fig 8l: data size scalability.
   // ------------------------------------------------------------------
-  def scalability(scales: Seq[Double] = Seq(0.5, 1.0, 2.0, 4.0)): String = {
-    val sb = new StringBuilder
+  def scalability(scales: Seq[Double] = Seq(0.5, 1.0, 2.0, 4.0)): String = report { sb =>
     emit(sb, "== Fig 8l: data size scalability (Brinkhoff-lite) ==")
     for (s <- scales) {
       val data = TrajGen.brinkhoffLite(s)
@@ -311,14 +273,12 @@ object Experiments {
       emit(sb, f"RESULT|F8l|points=${data.totalPoints}%8d|VCoDA*=$vStarMs%9.1f|k2-RDBMS=$rMs%8.1f|k2-LSMT=$lMs%8.1f")
     }
     emit(sb, "paper: VCoDA* grows sharply (crashes on Brinkhoff); k2-* sub-linear, ~2 orders faster")
-    sb.toString
   }
 
   // ------------------------------------------------------------------
   // Fig 7d: gain over SPARE; Fig 7g: gain over DCM (Spark local[*]).
   // ------------------------------------------------------------------
-  def gainOverSpare(spark: SparkSession, scales: Map[String, Double]): String = {
-    val sb = new StringBuilder
+  def gainOverSpare(spark: SparkSession, scales: Map[String, Double]): String = report { sb =>
     emit(sb, "== Fig 7d: k/2-hop gain over SPARE (Spark local[*]) ==")
     for (name <- DatasetNames) {
       val data = dataset(name, scales(name))
@@ -333,11 +293,9 @@ object Experiments {
       df.unpersist()
     }
     emit(sb, "paper: k/2-hop up to 43000x faster than single-core SPARE (stage 1 dominates SPARE)")
-    sb.toString
   }
 
-  def gainOverDcm(spark: SparkSession, scales: Map[String, Double]): String = {
-    val sb = new StringBuilder
+  def gainOverDcm(spark: SparkSession, scales: Map[String, Double]): String = report { sb =>
     emit(sb, "== Fig 7g: k/2-hop gain over DCM (Spark local[*]) ==")
     for (name <- DatasetNames) {
       val data = dataset(name, scales(name))
@@ -351,6 +309,5 @@ object Experiments {
       df.unpersist()
     }
     emit(sb, "paper: k/2-hop up to 140x faster than DCM on a 4-node cluster")
-    sb.toString
   }
 }

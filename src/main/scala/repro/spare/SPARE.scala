@@ -121,15 +121,11 @@ object SPARE {
     def dfs(chosen: List[Int], ts: Array[Int], from: Int): Unit = {
       val viable = runs(ts)
       if (viable.isEmpty) return
-      var extended = false
       var i = from
       while (i < ids.length) {
         val cand = ids(i)
         val nts = intersectSorted(ts, neighbors(cand))
-        if (runs(nts).nonEmpty) {
-          extended = true
-          dfs(cand :: chosen, nts, i + 1)
-        }
+        if (runs(nts).nonEmpty) dfs(cand :: chosen, nts, i + 1)
         i += 1
       }
       // Emit when the set meets the size bound; non-maximal emissions are
@@ -139,7 +135,6 @@ object SPARE {
         val objs = ObjSets.of(star :: chosen)
         viable.foreach { case (s, e) => out += Convoy(objs, s, e) }
       }
-      val _ = extended
     }
 
     dfs(Nil, neighbors.values.foldLeft(Set.empty[Int])(_ ++ _).toArray.sorted, 0)

@@ -22,7 +22,10 @@ import repro.store.{MemStore, TrajData}
   *      mined independently, exactly the parallelism §4.3 points out.
   *   4. *Merge / extend / validate* — collect only the points of surviving
   *      candidate objects (≪ the dataset after pruning) into an in-memory
-  *      store on the driver and reuse the sequential phases 4–6.
+  *      store on the driver and run `KHalfHop.finish` on it.
+  *
+  * Benchmark points and candidate clusters come from `KHalfHop` too, so
+  * this driver changes only where the points come from.
   */
 object SparkKHalfHop {
 
@@ -33,8 +36,6 @@ object SparkKHalfHop {
       finishPointsRead: Long,
   ) {
     def pointsRead: Long = benchmarkPointsRead + hwmtPointsRead + finishPointsRead
-    def pruningPct: Double =
-      if (totalPoints == 0) 0.0 else 100.0 * (totalPoints - pointsRead) / totalPoints
   }
 
   /** `df` must have columns (oid INT, t INT, x DOUBLE, y DOUBLE). */
@@ -47,8 +48,7 @@ object SparkKHalfHop {
     val tsMin = bounds.getInt(0)
     val tsMax = bounds.getInt(1)
     val h = p.k / 2
-    val bps = (tsMin to tsMax by h).toVector
-    val bpSet = bps.toSet
+    val bps = KHalfHop.benchmarkPoints(tsMin, tsMax, p.k)
 
     // Step 1: benchmark snapshots clustered in executors.
     val eps = p.eps; val m = p.m
@@ -66,11 +66,7 @@ object SparkKHalfHop {
       benchRows.map(r => r._1 -> r._2.map(s => ObjSets.of(s)).toVector).toMap
 
     // Step 2: candidate clusters per hop-window (driver; inputs are tiny).
-    val cc: Vector[Vector[ObjSet]] = (0 until bps.length - 1).toVector.map { i =>
-      val a = clustersAtBp.getOrElse(bps(i), Vector.empty)
-      val b = clustersAtBp.getOrElse(bps(i + 1), Vector.empty)
-      for (x <- a; y <- b; o = ObjSets.intersect(x, y) if o.length >= p.m) yield o
-    }
+    val cc = KHalfHop.candidates(bps.map(b => clustersAtBp.getOrElse(b, Vector.empty)), p.m)
 
     // Step 3: HWMT per hop-window, distributed. A point (oid, t) belongs to
     // window i iff b_i < t < b_{i+1} and oid is in one of window i's
@@ -79,37 +75,22 @@ object SparkKHalfHop {
       cc.zipWithIndex.collect { case (sets, i) if sets.nonEmpty => i -> sets.iterator.flatten.toSet }.toMap
     val bWindowObjs = spark.sparkContext.broadcast(windowObjs)
     val bBps = spark.sparkContext.broadcast(bps)
-    val bBpSet = spark.sparkContext.broadcast(bpSet)
-    val bCc = spark.sparkContext.broadcast(cc.map(_.map(_.toSeq)))
+    val bCc = spark.sparkContext.broadcast(cc)
 
     val spanningRows = frame
       .as[(Int, Int, Double, Double)]
       .flatMap { r =>
-        val t = r._2
-        if (bBpSet.value.contains(t)) None
-        else {
-          val bpsv = bBps.value
-          val i = (t - bpsv.head) / h
-          if (i >= 0 && i < bpsv.length - 1 && bWindowObjs.value.get(i).exists(_.contains(r._1)))
-            Some((i, r._1, t, r._3, r._4))
-          else None
-        }
+        val bpsv = bBps.value
+        val i = (r._2 - bpsv.head) / h // b_i <= t < b_{i+1}
+        if (r._2 > bpsv(i) && bWindowObjs.value.get(i).exists(_.contains(r._1))) Some((i, r._1, r._2, r._3, r._4))
+        else None
       }
       .groupByKey(_._1)
       .mapGroups { (win, rows) =>
-        val pts = rows.toArray
-        val bpsv = bBps.value
-        val b1 = bpsv(win); val b2 = bpsv(win + 1)
-        val data = TrajData.fromPoints(
-          pts.iterator.map(r => (r._3, Pt(r._2, r._4, r._5))).toVector ++
-            // Pad the window bounds so the store covers [b1, b2] even when
-            // interior timestamps are empty.
-            Vector((b1, Pt(Int.MinValue, Double.NaN, Double.NaN)), (b2, Pt(Int.MinValue, Double.NaN, Double.NaN)))
-        )
-        val store = new MemStore(TrajData(data.ts, data.te, data.byTime.map(_.filter(_.oid != Int.MinValue))))
+        val b1 = bBps.value(win); val b2 = bBps.value(win + 1)
+        val store = new MemStore(TrajData.fromPoints(b1, b2, rows.map(r => (r._3, Pt(r._2, r._4, r._5))).toVector))
         val counter = new PointCounter
-        val ccWin = bCc.value(win).map(s => ObjSets.of(s)).toVector
-        val convoys = HWMT.mineWindow((t, objs) => store.select(t, objs), b1, b2, ccWin, eps, m, counter)
+        val convoys = HWMT.mineWindow((t, objs) => store.select(t, objs), b1, b2, bCc.value(win), eps, m, counter)
         (win, convoys.map(c => (c.objs.toSeq, c.ts, c.te)), counter.n)
       }
       .collect()
@@ -117,10 +98,9 @@ object SparkKHalfHop {
     val hwmtPointsRead = spanningRows.map(_._3).sum
     val spanningByWin: Map[Int, Vector[Convoy]] =
       spanningRows.map(r => r._1 -> r._2.map { case (o, a, b) => Convoy(ObjSets.of(o), a, b) }.toVector).toMap
-    val spanning: Vector[Vector[Convoy]] = (0 until bps.length - 1).toVector.map { i =>
-      if (cc(i).isEmpty) Vector.empty
-      else if (bps(i + 1) - bps(i) <= 1) cc(i).map(o => Convoy(o, bps(i), bps(i + 1))) // no interior timestamps
-      else spanningByWin.getOrElse(i, Vector.empty) // interior exists but held no candidate points: window died
+    val spanning = cc.indices.map { i =>
+      if (h == 1) cc(i).map(o => Convoy(o, bps(i), bps(i + 1))) // no interior timestamps
+      else spanningByWin.getOrElse(i, Vector.empty) // no candidate point inside: the window died
     }
 
     // Steps 4-6 on the pruned remainder: collect only candidate objects.
@@ -133,24 +113,12 @@ object SparkKHalfHop {
           .filter($"oid".isin(candObjs.toSeq: _*))
           .as[(Int, Int, Double, Double)]
           .collect()
-        val localData = TrajData.fromPoints(
-          local.iterator.map(r => (r._2, Pt(r._1, r._3, r._4))).toVector ++
-            Vector((tsMin, Pt(Int.MinValue, 0, 0)), (tsMax, Pt(Int.MinValue, 0, 0)))
-        )
-        val cleaned = TrajData(localData.ts, localData.te, localData.byTime.map(_.filter(_.oid != Int.MinValue)))
-        val store = new MemStore(cleaned)
-        val counter = new PointCounter
-        val select = (t: Int, objs: ObjSet) => store.select(t, objs)
-        val acc = scala.collection.mutable.ArrayBuffer.empty[Convoy]
-        vm.foreach(v => Extend.extendOne(select, v, tsMax, forward = true, eps, m, counter, acc))
-        val accL = scala.collection.mutable.ArrayBuffer.empty[Convoy]
-        acc.foreach(v => Extend.extendOne(select, v, tsMin, forward = false, eps, m, counter, accL))
-        val ve = ConvoySets.maximal(accL.filter(_.len >= p.k))
-        val vfc = Validate.fullyConnected(ve, select, eps, m, p.k, counter)
-        (ConvoySets.sorted(vfc), local.length.toLong)
+        val store = new MemStore(TrajData.fromPoints(tsMin, tsMax, local.map(r => (r._2, Pt(r._1, r._3, r._4)))))
+        val done = KHalfHop.finish((t, objs) => store.select(t, objs), tsMin, tsMax, vm, p, new PointCounter)
+        (done.convoys, local.length.toLong)
       }
 
-    bWindowObjs.destroy(); bBps.destroy(); bBpSet.destroy(); bCc.destroy()
+    bWindowObjs.destroy(); bBps.destroy(); bCc.destroy()
     (convoys, Stats(totalPoints, benchmarkPointsRead, hwmtPointsRead, finishPointsRead))
   }
 

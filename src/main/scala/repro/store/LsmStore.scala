@@ -7,10 +7,10 @@ import repro.core.ObjSets.ObjSet
 import repro.store.lsm.LsmTree
 import scala.collection.mutable.ArrayBuffer
 
-/** LSM-tree storage (paper §5.2): composite key `(t, oid)` packed as
-  * `(t << 32) | oid`, location `(x, y)` as the value.
+/** LSM-tree storage (paper §5.2): composite key `(t, oid)` packed by
+  * `LsmStore.key`, location `(x, y)` as the value.
   *
-  *   - benchmark reads: one range scan `[(t,0) .. (t,maxOid)]` — the
+  *   - benchmark reads: one range scan `[(t,minOid) .. (t,maxOid)]` — the
   *     timestamp's data is co-located, fetched with a single seek per run;
   *   - HWMT reads: one point `get` per (t, oid) pair.
   */
@@ -21,12 +21,12 @@ final class LsmStore private (
     override val totalPoints: Long,
 ) extends CountingStore {
 
-  @inline private def key(t: Int, oid: Int): Long = (t.toLong << 32) | (oid.toLong & 0xffffffffL)
+  import LsmStore.{key, oidOf}
 
   override def snapshot(t: Int): Array[Pt] = {
-    val rows = tree.range(key(t, 0), key(t, Int.MaxValue))
+    val rows = tree.range(key(t, Int.MinValue), key(t, Int.MaxValue))
     reads += rows.length
-    rows.iterator.map { case (k, x, y) => Pt((k & 0xffffffffL).toInt, x, y) }.toArray
+    rows.iterator.map { case (k, x, y) => Pt(oidOf(k), x, y) }.toArray
   }
 
   override def select(t: Int, oids: ObjSet): Array[Pt] = {
@@ -42,6 +42,14 @@ final class LsmStore private (
 }
 
 object LsmStore {
+  /** `t` in the high word, `oid ^ Int.MinValue` in the low word: flipping the
+    * sign bit makes the unsigned order of the low word the signed order of
+    * the oids, so one timestamp's keys are contiguous and sorted by oid.
+    */
+  private def key(t: Int, oid: Int): Long = (t.toLong << 32) | ((oid ^ Int.MinValue).toLong & 0xffffffffL)
+
+  private def oidOf(key: Long): Int = key.toInt ^ Int.MinValue
+
   /** Bulk-load `data` through the normal insert path (exercising flushes and
     * compactions), then leave one final flushed tree ready for reads.
     */
@@ -49,7 +57,7 @@ object LsmStore {
              flushThreshold: Int = 128 * 1024, maxRuns: Int = 6): LsmStore = {
     val tree = new LsmTree(dir, flushThreshold, maxRuns)
     data.iterator.foreach { case (t, p) =>
-      tree.put((t.toLong << 32) | (p.oid.toLong & 0xffffffffL), p.x, p.y)
+      tree.put(key(t, p.oid), p.x, p.y)
     }
     tree.flush()
     new LsmStore(tree, data.ts, data.te, data.totalPoints)

@@ -44,11 +44,13 @@ trait TrajectoryStore extends AutoCloseable {
 /** In-memory dataset: the common interchange format produced by the
   * generators and consumed by every store constructor.
   *
-  * `byTime(i)` holds the points of timestamp `ts + i`, each array sorted by
-  * oid.
+  * `byTime(i)` holds the points of timestamp `ts + i`, each array in
+  * strictly increasing oid order: duplicate `(t, oid)` rows are rejected.
   */
 final case class TrajData(ts: Int, te: Int, byTime: Array[Array[Pt]]) {
   require(byTime.length == te - ts + 1, "byTime length must cover [ts, te]")
+  require(byTime.forall(pts => (1 until pts.length).forall(i => pts(i - 1).oid < pts(i).oid)),
+    "oids must be strictly increasing within each timestamp")
 
   def totalPoints: Long = byTime.foldLeft(0L)(_ + _.length)
 
@@ -67,8 +69,13 @@ object TrajData {
     */
   def fromPoints(points: Iterable[(Int, Pt)]): TrajData = {
     require(points.nonEmpty, "empty dataset")
-    val ts = points.iterator.map(_._1).min
-    val te = points.iterator.map(_._1).max
+    fromPoints(points.iterator.map(_._1).min, points.iterator.map(_._1).max, points)
+  }
+
+  /** Build from an unordered point list over the explicit range [ts, te];
+    * timestamps without points become empty snapshots.
+    */
+  def fromPoints(ts: Int, te: Int, points: Iterable[(Int, Pt)]): TrajData = {
     val buf = Array.fill(te - ts + 1)(Vector.newBuilder[Pt])
     points.foreach { case (t, p) => buf(t - ts) += p }
     TrajData(ts, te, buf.map(_.result().sortBy(_.oid).toArray))

@@ -8,7 +8,9 @@ import repro.TestData
 import repro.core.ObjSets.ObjSet
 import repro.store.MemStore
 
-/** Right/left extension of maximal spanning convoys (Algorithm 3). */
+/** Right/left extension of maximal spanning convoys (Algorithm 3) and the
+  * `KHalfHop.finish` stage built on it.
+  */
 class ExtendSpec extends AnyFunSuite {
 
   private def os(xs: Int*): ObjSet = ObjSets.of(xs)
@@ -57,17 +59,18 @@ class ExtendSpec extends AnyFunSuite {
     assert(acc.toSet == Set(Convoy(os(0, 1, 2), 7, 9)))
   }
 
-  test("extendAll applies the k filter only after both passes") {
+  private def finish(vm: Convoy*): KHalfHop.Finished =
+    KHalfHop.finish(sel(new MemStore(data)), 0, 9, vm.toVector, KHalfHop.Params(2, 8, 1.5), new PointCounter)
+
+  test("finish applies the k filter only after both passes") {
     // Spanning convoy of length 3 (< k=8) must survive because extension
     // grows it to [0,9] (length 10 >= 8).
-    val store = new MemStore(data)
-    val ve = Extend.extendAll(sel(store), 0, 9, Vector(Convoy(os(0, 1, 2), 4, 6)), 1.5, 2, 8, new PointCounter)
+    val ve = finish(Convoy(os(0, 1, 2), 4, 6)).preValidation
     assert(ve.toSet == Set(Convoy(os(0, 1, 2), 0, 9)))
   }
 
-  test("extendAll drops convoys that stay below k") {
-    val store = new MemStore(data)
-    val ve = Extend.extendAll(sel(store), 0, 9, Vector(Convoy(os(0, 1, 2, 3), 3, 6)), 1.5, 2, 8, new PointCounter)
+  test("finish drops convoys that stay below k") {
+    val ve = finish(Convoy(os(0, 1, 2, 3), 3, 6)).preValidation
     // {0,1,2,3} caps at [3,6] (len 4 < 8): dropped. Offshoot {0,1,2} reaches [0,9].
     assert(ve.toSet == Set(Convoy(os(0, 1, 2), 0, 9)))
   }

@@ -36,6 +36,10 @@ class SparkKHalfHopSpec extends SparkSpec {
     compare(TestData.randomTiny(3, 8, 20), Params(2, 2, TestData.GridEps))
   }
 
+  test("matches sequential on a convoy with an extreme or negative oid") {
+    for (oid <- Seq(Int.MinValue, -5, 0)) compare(TestData.trio(oid), Params(3, 4, 1.5))
+  }
+
   test("empty result on convoy-free data") {
     val data = TrajGen.generate(TrajGen.Config(
       nObjects = 20, nTs = 40, groups = Seq.empty, world = 100000.0, seed = 21))

@@ -3,7 +3,7 @@ package repro.store
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestData
-import repro.core.ObjSets
+import repro.core.{Convoy, KHalfHop, ObjSets, Pt}
 import repro.data.TrajGen
 
 /** The three storage substrates must serve byte-identical data; they differ
@@ -112,6 +112,22 @@ class StoreSpec extends AnyFunSuite {
       val (got, _) = repro.core.KHalfHop.run(s, p)
       assert(got == expected, name)
     }
+  }
+
+  test("k/2-hop finds the same convoy on every store with an extreme or negative oid") {
+    for (oid <- Seq(Int.MinValue, -5)) {
+      val trio = TestData.trio(oid)
+      val want = Vector(Convoy(ObjSets.of(Seq(oid, 1, 2)), 0, 11))
+      withStores(trio) { (name, s) =>
+        assert(KHalfHop.run(s, KHalfHop.Params(3, 4, 1.5))._1 == want, s"$name, oid $oid")
+      }
+    }
+  }
+
+  test("TrajData rejects duplicate or unsorted (t, oid) rows") {
+    assertThrows[IllegalArgumentException](TrajData(0, 0, Array(Array(Pt(1, 0, 0), Pt(1, 0, 0), Pt(2, 1, 0)))))
+    assertThrows[IllegalArgumentException](TrajData(0, 0, Array(Array(Pt(2, 0, 0), Pt(1, 0, 0)))))
+    assertThrows[IllegalArgumentException](TestData.fromTriples(Seq((0, 1, 0.0, 0.0), (0, 1, 0.0, 0.0))))
   }
 
   test("TrajData.fromPoints restores contiguous timestamps and sorts by oid") {
