@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 
 import ObjSets.ObjSet
-import repro.store.TrajectoryStore
+import repro.store.{PointCache, TrajectoryStore}
 
 /** The k/2-hop convoy mining algorithm (Algorithm 1): the paper's primary
   * contribution. Finds all maximal fully connected (m,eps)-convoys of
@@ -14,9 +14,12 @@ import repro.store.TrajectoryStore
   * Pipeline: benchmark clustering → candidate clusters → HWMT per
   * hop-window → DCM merge → right/left extension → FC validation. Each
   * phase is timed and the points fed to DBSCAN are counted for the pruning
-  * statistics of Table 5. The Spark driver (`repro.spark.SparkKHalfHop`)
-  * reuses the benchmark-point, candidate and finish stages below and only
-  * changes where the points come from.
+  * statistics of Table 5. Every read goes through one per-run
+  * [[repro.store.PointCache]], so each `(t, oid)` is fetched from the store
+  * at most once: extension and validation re-cluster points that the
+  * benchmark step and HWMT already read. The Spark driver
+  * (`repro.spark.SparkKHalfHop`) reuses the benchmark-point, candidate and
+  * finish stages below and only changes where the points come from.
   */
 object KHalfHop {
 
@@ -44,11 +47,15 @@ object KHalfHop {
   }
 
   /** Run statistics: pruning performance (Table 5), pipeline cardinalities
-    * (Figure 8j) and phase timings (Figure 8i).
+    * (Figure 8j) and phase timings (Figure 8i). `pointsProcessed` counts the
+    * points fed to DBSCAN; `pointsFetched` counts the points fetched from
+    * the store, each `(t, oid)` at most once, so it is at most
+    * `pointsProcessed`.
     */
   final case class Stats(
       totalPoints: Long,
       pointsProcessed: Long,
+      pointsFetched: Long,
       benchmarkPoints: Int,
       benchmarkClusters: Int,
       candidateClusters: Int,
@@ -125,13 +132,14 @@ object KHalfHop {
   /** Mine all maximal FC convoys of `store` and report statistics. */
   def run(store: TrajectoryStore, p: Params): (Vector[Convoy], Stats) = {
     val counter = new PointCounter
-    val select: (Int, ObjSet) => Array[Pt] = (t, objs) => store.select(t, objs)
+    val cache = new PointCache(store)
+    val select: (Int, ObjSet) => Array[Pt] = cache.select
 
     // Step 1: cluster the benchmark points.
     val bps = benchmarkPoints(store.ts, store.te, p.k)
     val (benchClusters, benchmarkMs) = timed {
       bps.map { b =>
-        val pts = store.snapshot(b)
+        val pts = cache.snapshot(b)
         counter.add(pts.length)
         DBSCAN.cluster(pts, p.eps, p.m)
       }
@@ -157,6 +165,7 @@ object KHalfHop {
     val stats = Stats(
       totalPoints = store.totalPoints,
       pointsProcessed = counter.n,
+      pointsFetched = cache.pointsFetched,
       benchmarkPoints = bps.length,
       benchmarkClusters = benchClusters.map(_.length).sum,
       candidateClusters = cc.map(_.length).sum,

@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.core._
 import repro.core.KHalfHop.Params
 import repro.core.ObjSets.ObjSet
-import repro.store.{MemStore, TrajData}
+import repro.store.{MemStore, PointCache, TrajData}
 
 /** Spark-parallel k/2-hop (§7 future work, realized here per the repro
   * brief's distributed-dataflow mapping): the two data-heavy stages run as
@@ -22,7 +22,8 @@ import repro.store.{MemStore, TrajData}
   *      mined independently, exactly the parallelism §4.3 points out.
   *   4. *Merge / extend / validate* — collect only the points of surviving
   *      candidate objects (≪ the dataset after pruning) into an in-memory
-  *      store on the driver and run `KHalfHop.finish` on it.
+  *      store on the driver and run `KHalfHop.finish` on it, through the
+  *      same per-run `PointCache` as `KHalfHop.run`.
   *
   * Benchmark points and candidate clusters come from `KHalfHop` too, so
   * this driver changes only where the points come from.
@@ -113,8 +114,8 @@ object SparkKHalfHop {
           .filter($"oid".isin(candObjs.toSeq: _*))
           .as[(Int, Int, Double, Double)]
           .collect()
-        val store = new MemStore(TrajData.fromPoints(tsMin, tsMax, local.map(r => (r._2, Pt(r._1, r._3, r._4)))))
-        val done = KHalfHop.finish((t, objs) => store.select(t, objs), tsMin, tsMax, vm, p, new PointCounter)
+        val cache = new PointCache(new MemStore(TrajData.fromPoints(tsMin, tsMax, local.map(r => (r._2, Pt(r._1, r._3, r._4))))))
+        val done = KHalfHop.finish(cache.select, tsMin, tsMax, vm, p, new PointCounter)
         (done.convoys, local.length.toLong)
       }
 

@@ -50,7 +50,7 @@ final class RdbmsStore private (
     var i = 0
     while (i < oids.length) {
       var j = i
-      while (j + 1 < oids.length && oids(j + 1) - oids(j) <= RunGap) j += 1
+      while (j + 1 < oids.length && oids(j + 1).toLong - oids(j) <= RunGap) j += 1
       rangeStmt.setInt(1, t); rangeStmt.setInt(2, oids(i)); rangeStmt.setInt(3, oids(j))
       val rs = rangeStmt.executeQuery()
       while (rs.next()) {

@@ -24,11 +24,12 @@ trait TrajectoryStore extends AutoCloseable {
   /** Total number of points stored. */
   def totalPoints: Long
 
-  /** All points present at timestamp `t`. */
+  /** All points present at timestamp `t`, in ascending oid order. */
   def snapshot(t: Int): Array[Pt]
 
-  /** Points of the given objects at timestamp `t` (objects absent at `t` are
-    * simply missing from the result). `oids` is sorted.
+  /** Points of the given objects at timestamp `t`, in ascending oid order
+    * (objects absent at `t` are simply missing from the result). `oids` is
+    * sorted. [[PointCache]] relies on this order.
     */
   def select(t: Int, oids: ObjSet): Array[Pt]
 
@@ -80,13 +81,4 @@ object TrajData {
     points.foreach { case (t, p) => buf(t - ts) += p }
     TrajData(ts, te, buf.map(_.result().sortBy(_.oid).toArray))
   }
-}
-
-/** Shared base for stores backed (directly or indirectly) by a `TrajData`
-  * image held in memory; concrete stores differ in what a read *costs*.
-  */
-abstract class CountingStore extends TrajectoryStore {
-  protected var reads: Long = 0L
-  final override def pointsRead: Long = reads
-  final override def resetCounters(): Unit = reads = 0L
 }

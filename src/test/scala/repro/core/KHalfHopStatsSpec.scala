@@ -1,11 +1,13 @@
 package repro.core
 
+import scala.collection.mutable
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestData
 import repro.core.KHalfHop.Params
 import repro.data.TrajGen
-import repro.store.MemStore
+import repro.store.{MemStore, PointCache, RecordingStore}
 
 /** Parameter validation, statistics and pruning invariants of the k/2-hop
   * driver (the quantities behind Tables 5 and Figures 8i/8j).
@@ -65,10 +67,40 @@ class KHalfHopStatsSpec extends AnyFunSuite {
 
   test("store read counter sees at least the benchmark snapshots") {
     val data = TrajGen.trucksLite(scale = 0.3)
+    val p = Params(3, 40, 25.0)
     val store = new MemStore(data)
-    val (_, stats) = KHalfHop.run(store, Params(3, 40, 25.0))
-    assert(store.pointsRead == stats.pointsProcessed,
-      "MemStore counts exactly the points the algorithm clusters")
+    val recorder = new RecordingStore(store)
+    val (_, stats) = KHalfHop.run(recorder, p)
+    assert(store.pointsRead == stats.pointsFetched, "MemStore counts exactly the points the run fetched")
+    val snapshotPoints =
+      KHalfHop.benchmarkPoints(data.ts, data.te, p.k).map(b => data.byTime(b - data.ts).length.toLong).sum
+    assert(snapshotPoints <= stats.pointsFetched, s"$snapshotPoints benchmark points, ${stats.pointsFetched} fetched")
+    assert(stats.pointsFetched <= stats.pointsProcessed, s"${stats.pointsFetched} fetched, ${stats.pointsProcessed} processed")
+    val twice = recorder.returned.groupBy(identity).collect { case (tOid, n) if n.length > 1 => tOid }
+    assert(twice.isEmpty, s"(t, oid) returned more than once in one run: ${twice.take(5)}")
+  }
+
+  test("validation re-clusters only points that the stages before it already read") {
+    val cases = (TrajGen.trucksLite(scale = 0.3), Params(3, 40, 25.0)) +:
+      (for (seed <- 1L to 20L; p <- Seq(Params(2, 4, TestData.GridEps), Params(3, 3, TestData.GridEps)))
+        yield (TestData.randomTiny(seed, 8, 30), p))
+    for ((data, p) <- cases) {
+      val recorder = new RecordingStore(new MemStore(data))
+      val cache = new PointCache(recorder)
+      val counter = new PointCounter
+      val bps = KHalfHop.benchmarkPoints(data.ts, data.te, p.k)
+      val cc = KHalfHop.candidates(bps.map(b => DBSCAN.cluster(cache.snapshot(b), p.eps, p.m)), p.m)
+      val spanning = cc.indices.toVector.map(i => HWMT.mineWindow(cache.select, bps(i), bps(i + 1), cc(i), p.eps, p.m, counter))
+      val acc = mutable.ArrayBuffer.empty[Convoy]
+      Merge.mergeSpanning(spanning, p.m).foreach(v =>
+        Extend.extendOne(cache.select, v, data.te, forward = true, p.eps, p.m, counter, acc))
+      val rightClosed = acc.toVector
+      acc.clear()
+      rightClosed.foreach(v => Extend.extendOne(cache.select, v, data.ts, forward = false, p.eps, p.m, counter, acc))
+      val calls = recorder.calls.length
+      Validate.fullyConnected(ConvoySets.maximal(acc.filter(_.len >= p.k)), cache.select, p.eps, p.m, p.k, counter)
+      assert(recorder.calls.length == calls, s"validation read the store for $p")
+    }
   }
 
   test("k larger than the dataset span yields no convoys and minimal work") {

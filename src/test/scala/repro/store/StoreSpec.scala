@@ -54,6 +54,33 @@ class StoreSpec extends AnyFunSuite {
     }
   }
 
+  /** Extreme, negative and widely spread oids; each timestamp drops some. */
+  private val signed = TestData.fromTriples(for {
+    t <- 0 to 3
+    oid <- Seq(Int.MinValue, -70000, -5, -1, 0, 2, 64, 130, 70000, Int.MaxValue) if (oid ^ t) % 3 != 0
+  } yield (t, oid, oid % 7 * 1.0, t * 1.0))
+
+  test("snapshot and select return points in ascending oid order on every store, negative oids included") {
+    def ascending(pts: Array[Pt]): Boolean = pts.iterator.map(_.oid).sliding(2).forall(w => w.length < 2 || w(0) < w(1))
+    val asks = Seq(Seq(Int.MinValue, -5, 0, 64, Int.MaxValue), Seq(-70000, -1, 2, 130, 70000), Seq(-1, 0), Seq(Int.MaxValue))
+    withStores(signed) { (name, s) =>
+      for (t <- 0 to 3) {
+        assert(ascending(s.snapshot(t)) && s.snapshot(t).length == signed.byTime(t).length, s"$name snapshot($t)")
+        asks.foreach(a => assert(ascending(s.select(t, ObjSets.of(a))), s"$name select($t, $a)"))
+      }
+    }
+  }
+
+  test("a select of oids more than Int.MaxValue apart charges only the rows it returns") {
+    withStores(signed) { (name, s) =>
+      if (name != "file") for (t <- 0 to 3) {
+        s.resetCounters()
+        val n = s.select(t, ObjSets.of(Seq(Int.MinValue, Int.MaxValue))).length
+        assert(s.pointsRead == n, s"$name select($t)")
+      }
+    }
+  }
+
   test("select outside the time range is empty") {
     withStores(data) { (name, s) =>
       assert(s.select(data.te + 10, ObjSets.of(Seq(1))).isEmpty, name)
