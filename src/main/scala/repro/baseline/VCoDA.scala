@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{Convoy, DBSCAN, PointCounter, Validate}
+import repro.core.{Convoy, ConvoySets, DBSCAN, PhaseTimer, PointCounter, RunReport, Validate}
 import repro.core.KHalfHop.Params
 import repro.core.ObjSets.ObjSet
 import repro.store.TrajectoryStore
@@ -17,49 +17,31 @@ import repro.store.TrajectoryStore
   */
 object VCoDA {
 
-  final case class Result(
-      convoys: Vector[Convoy],
-      preValidationConvoys: Int,
-      pointsProcessed: Long,
-      clusterMs: Long,
-      mineMs: Long,
-      validateMs: Long,
-  ) {
-    def totalMs: Long = clusterMs + mineMs + validateMs
-  }
+  /** The sorted FC convoys and the run's report: phases `cluster` (every
+    * snapshot; output: clusters), `mine` (PCCD; output: the pre-validation
+    * convoys) and `val` (output: convoys).
+    */
+  final case class Result(convoys: Vector[Convoy], report: RunReport)
 
   def run(store: TrajectoryStore, p: Params, indexed: Boolean): Result = {
     val counter = new PointCounter
+    val timer = new PhaseTimer
 
-    val t0 = System.nanoTime()
     val range = store.ts to store.te
-    val clusters: Map[Int, Vector[ObjSet]] = range.iterator.map { t =>
-      val pts = store.snapshot(t)
-      counter.add(pts.length)
-      t -> DBSCAN.cluster(pts, p.eps, p.m, indexed = indexed)
-    }.toMap
-    val t1 = System.nanoTime()
+    val clusters: Map[Int, Vector[ObjSet]] = timer.phase("cluster") {
+      range.iterator.map { t =>
+        val pts = store.snapshot(t)
+        counter.add(pts.length)
+        t -> DBSCAN.cluster(pts, p.eps, p.m, indexed = indexed)
+      }.toMap
+    }(_.valuesIterator.map(_.length.toLong).sum)
 
-    val maximal = PCCD.maximalConvoys(range, clusters, p.m, p.k)
-    val t2 = System.nanoTime()
+    val maximal = timer.phase("mine")(PCCD.maximalConvoys(range, clusters, p.m, p.k))(_.length)
 
-    val fc = Validate.fullyConnected(
-      maximal,
-      (t, objs) => store.select(t, objs),
-      p.eps,
-      p.m,
-      p.k,
-      counter,
-    )
-    val t3 = System.nanoTime()
+    val fc = timer.phase("val") {
+      Validate.fullyConnected(maximal, (t, objs) => store.select(t, objs), p.eps, p.m, p.k, counter)
+    }(_.length)
 
-    Result(
-      convoys = repro.core.ConvoySets.sorted(fc),
-      preValidationConvoys = maximal.length,
-      pointsProcessed = counter.n,
-      clusterMs = (t1 - t0) / 1000000L,
-      mineMs = (t2 - t1) / 1000000L,
-      validateMs = (t3 - t2) / 1000000L,
-    )
+    Result(ConvoySets.sorted(fc), timer.report(counter.n))
   }
 }

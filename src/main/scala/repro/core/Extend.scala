@@ -14,7 +14,7 @@ import ObjSets.ObjSet
   * sub-cluster continues as its own candidate. After the right pass, every
   * right-closed convoy is extended to the left the same way; only then is
   * the minimum-length constraint k applied (a convoy too short after the
-  * right pass may still reach k by growing left); `KHalfHop.finish` runs
+  * right pass may still reach k by growing left); `KHalfHop.extend` runs
   * both passes for the sequential and the Spark driver.
   */
 object Extend {

@@ -9,7 +9,7 @@ import ObjSets.ObjSet
   */
 final class PointCounter {
   var n: Long = 0L
-  def add(k: Int): Unit = n += k
+  def add(k: Long): Unit = n += k
 }
 
 /** Hop-Window Mining Tree (Algorithm 2).

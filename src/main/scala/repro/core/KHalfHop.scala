@@ -12,9 +12,9 @@ import repro.store.{PointCache, TrajectoryStore}
   * >99% of points are never touched.
   *
   * Pipeline: benchmark clustering → candidate clusters → HWMT per
-  * hop-window → DCM merge → right/left extension → FC validation. Each
-  * phase is timed and the points fed to DBSCAN are counted for the pruning
-  * statistics of Table 5. Every read goes through one per-run
+  * hop-window → DCM merge → right/left extension → FC validation, reported
+  * as the [[RunReport]] phases `bench, cc, hwmt, merge, extR, extL, val`
+  * together with the points fed to DBSCAN (Table 5). Every read goes through one per-run
   * [[repro.store.PointCache]], so each `(t, oid)` is fetched from the store
   * at most once: extension and validation re-cluster points that the
   * benchmark step and HWMT already read. The Spark driver
@@ -30,43 +30,6 @@ object KHalfHop {
     require(m >= 2, "convoy size m must be >= 2")
     require(k >= 2, "convoy length k must be >= 2 (k/2-hop needs hop >= 1)")
     require(eps > 0, "eps must be positive")
-  }
-
-  /** Wall-clock milliseconds per phase (Figure 8i). */
-  final case class Phases(
-      benchmarkMs: Long,
-      candidateMs: Long,
-      hwmtMs: Long,
-      mergeMs: Long,
-      extendRightMs: Long,
-      extendLeftMs: Long,
-      validateMs: Long,
-  ) {
-    def totalMs: Long =
-      benchmarkMs + candidateMs + hwmtMs + mergeMs + extendRightMs + extendLeftMs + validateMs
-  }
-
-  /** Run statistics: pruning performance (Table 5), pipeline cardinalities
-    * (Figure 8j) and phase timings (Figure 8i). `pointsProcessed` counts the
-    * points fed to DBSCAN; `pointsFetched` counts the points fetched from
-    * the store, each `(t, oid)` at most once, so it is at most
-    * `pointsProcessed`.
-    */
-  final case class Stats(
-      totalPoints: Long,
-      pointsProcessed: Long,
-      pointsFetched: Long,
-      benchmarkPoints: Int,
-      benchmarkClusters: Int,
-      candidateClusters: Int,
-      spanningConvoys: Int,
-      maximalSpanning: Int,
-      preValidationConvoys: Int,
-      convoys: Int,
-      phases: Phases,
-  ) {
-    def pruningPct: Double =
-      if (totalPoints == 0) 0.0 else 100.0 * (totalPoints - pointsProcessed) / totalPoints
   }
 
   /** Benchmark points b_i = ts + i*floor(k/2) over [ts, te] (Lemma 3). */
@@ -86,20 +49,33 @@ object KHalfHop {
       } yield o
     }
 
-  /** Output of [[finish]]: the extended candidates of length >= k, the
-    * sorted maximal FC convoys, and the wall time of each phase.
+  /** Step 5 of Algorithm 1 on the maximal spanning convoys `vm`: extend
+    * right to `te`, then left to `ts`, and keep the maximal candidates of
+    * length >= k. Returns this pre-validation set.
     */
-  final case class Finished(
-      preValidation: Vector[Convoy],
-      convoys: Vector[Convoy],
-      extendRightMs: Long,
-      extendLeftMs: Long,
-      validateMs: Long,
-  )
+  def extend(
+      select: (Int, ObjSet) => Array[Pt],
+      ts: Int,
+      te: Int,
+      vm: Vector[Convoy],
+      p: Params,
+      counter: PointCounter,
+      timer: PhaseTimer,
+  ): Vector[Convoy] = {
+    val rightClosed = timer.phase("extR") {
+      val acc = mutable.ArrayBuffer.empty[Convoy]
+      vm.foreach(v => Extend.extendOne(select, v, te, forward = true, p.eps, p.m, counter, acc))
+      acc.toVector
+    }(_.length)
+    timer.phase("extL") {
+      val acc = mutable.ArrayBuffer.empty[Convoy]
+      rightClosed.foreach(v => Extend.extendOne(select, v, ts, forward = false, p.eps, p.m, counter, acc))
+      ConvoySets.maximal(acc.filter(_.len >= p.k))
+    }(_.length)
+  }
 
-  /** Steps 5–6 of Algorithm 1 on the maximal spanning convoys `vm`: extend
-    * right to `te`, then left to `ts`, keep the maximal candidates of length
-    * >= k, and validate them to fully connected convoys.
+  /** Steps 5–6 of Algorithm 1: [[extend]] the maximal spanning convoys `vm`
+    * and validate the result to the sorted maximal fully connected convoys.
     */
   def finish(
       select: (Int, ObjSet) => Array[Pt],
@@ -108,74 +84,50 @@ object KHalfHop {
       vm: Vector[Convoy],
       p: Params,
       counter: PointCounter,
-  ): Finished = {
-    val (rightClosed, extendRightMs) = timed {
-      val acc = mutable.ArrayBuffer.empty[Convoy]
-      vm.foreach(v => Extend.extendOne(select, v, te, forward = true, p.eps, p.m, counter, acc))
-      acc.toVector
-    }
-    val (ve, extendLeftMs) = timed {
-      val acc = mutable.ArrayBuffer.empty[Convoy]
-      rightClosed.foreach(v => Extend.extendOne(select, v, ts, forward = false, p.eps, p.m, counter, acc))
-      ConvoySets.maximal(acc.filter(_.len >= p.k))
-    }
-    val (vfc, validateMs) = timed(Validate.fullyConnected(ve, select, p.eps, p.m, p.k, counter))
-    Finished(ve, ConvoySets.sorted(vfc), extendRightMs, extendLeftMs, validateMs)
+      timer: PhaseTimer,
+  ): Vector[Convoy] = {
+    val ve = extend(select, ts, te, vm, p, counter, timer)
+    ConvoySets.sorted(timer.phase("val")(Validate.fullyConnected(ve, select, p.eps, p.m, p.k, counter))(_.length))
   }
 
-  private def timed[A](f: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val r = f
-    (r, (System.nanoTime() - t0) / 1000000L)
-  }
+  /** Output size of a phase that yields one list per benchmark point or
+    * hop-window: the clusters or spanning convoys of all lists together.
+    */
+  private[repro] def totalSize(lists: Vector[Vector[_]]): Long = lists.iterator.map(_.length.toLong).sum
 
-  /** Mine all maximal FC convoys of `store` and report statistics. */
-  def run(store: TrajectoryStore, p: Params): (Vector[Convoy], Stats) = {
+  /** Mine all maximal FC convoys of `store` and report the run. */
+  def run(store: TrajectoryStore, p: Params): (Vector[Convoy], RunReport) = {
     val counter = new PointCounter
+    val timer = new PhaseTimer
     val cache = new PointCache(store)
     val select: (Int, ObjSet) => Array[Pt] = cache.select
 
     // Step 1: cluster the benchmark points.
     val bps = benchmarkPoints(store.ts, store.te, p.k)
-    val (benchClusters, benchmarkMs) = timed {
+    val benchClusters = timer.phase("bench") {
       bps.map { b =>
         val pts = cache.snapshot(b)
         counter.add(pts.length)
         DBSCAN.cluster(pts, p.eps, p.m)
       }
-    }
+    }(totalSize)
 
     // Step 2: candidate clusters per hop-window.
-    val (cc, candidateMs) = timed(candidates(benchClusters, p.m))
+    val cc = timer.phase("cc")(candidates(benchClusters, p.m))(totalSize)
 
     // Step 3: HWMT — 1st-order spanning convoys per hop-window.
-    val (spanning, hwmtMs) = timed {
+    val spanning = timer.phase("hwmt") {
       cc.zipWithIndex.map { case (sets, i) =>
         if (sets.isEmpty) Vector.empty[Convoy]
         else HWMT.mineWindow(select, bps(i), bps(i + 1), sets, p.eps, p.m, counter)
       }
-    }
+    }(totalSize)
 
     // Step 4: merge into maximal spanning convoys.
-    val (vm, mergeMs) = timed(Merge.mergeSpanning(spanning, p.m))
+    val vm = timer.phase("merge")(Merge.mergeSpanning(spanning, p.m))(_.length)
 
     // Steps 5-6: extend, k filter, validate.
-    val done = finish(select, store.ts, store.te, vm, p, counter)
-
-    val stats = Stats(
-      totalPoints = store.totalPoints,
-      pointsProcessed = counter.n,
-      pointsFetched = cache.pointsFetched,
-      benchmarkPoints = bps.length,
-      benchmarkClusters = benchClusters.map(_.length).sum,
-      candidateClusters = cc.map(_.length).sum,
-      spanningConvoys = spanning.map(_.length).sum,
-      maximalSpanning = vm.length,
-      preValidationConvoys = done.preValidation.length,
-      convoys = done.convoys.length,
-      phases = Phases(benchmarkMs, candidateMs, hwmtMs, mergeMs, done.extendRightMs, done.extendLeftMs,
-        done.validateMs),
-    )
-    (done.convoys, stats)
+    val convoys = finish(select, store.ts, store.te, vm, p, counter, timer)
+    (convoys, timer.report(counter.n))
   }
 }

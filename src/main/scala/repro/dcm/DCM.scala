@@ -3,7 +3,7 @@ package repro.dcm
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{Convoy, ConvoySets, DBSCAN, Merge, ObjSets, Pt}
+import repro.core.{Convoy, ConvoySets, DBSCAN, Merge, ObjSets, PhaseTimer, PointCounter, Pt, RunReport}
 import repro.core.KHalfHop.Params
 import repro.core.ObjSets.ObjSet
 import repro.baseline.PCCD
@@ -24,14 +24,15 @@ import repro.baseline.PCCD
   */
 object DCM {
 
-  final case class Result(convoys: Vector[Convoy], localMs: Long, mergeMs: Long) {
-    def totalMs: Long = localMs + mergeMs
-  }
-
-  def run(spark: SparkSession, df: DataFrame, p: Params, lambda: Int): Result = {
+  /** The sorted maximal convoys and the run's report: phases `local`
+    * (output: per-partition partial convoys) and `merge` (output: convoys),
+    * and the points the executors clustered.
+    */
+  def run(spark: SparkSession, df: DataFrame, p: Params, lambda: Int): (Vector[Convoy], RunReport) = {
     import spark.implicits._
     require(lambda >= 2, "partition length lambda must be >= 2")
     val eps = p.eps; val m = p.m
+    val timer = new PhaseTimer
 
     val frame = df.select($"oid", $"t", $"x", $"y")
     val bounds = frame.agg(min($"t"), max($"t")).head()
@@ -39,42 +40,46 @@ object DCM {
     val tsMax = bounds.getInt(1)
 
     // Local phase: per-partition snapshot clustering + PCCD partials.
-    val t0 = System.nanoTime()
-    val partials = frame
-      .as[(Int, Int, Double, Double)]
-      .groupByKey(r => (r._2 - tsMin) / lambda)
-      .mapGroups { (part, rows) =>
-        val byT = rows.toArray.groupBy(_._2)
-        val lo = tsMin + part * lambda
-        val hi = math.min(tsMax, lo + lambda - 1)
-        val clustersAt: Int => Vector[ObjSet] = t =>
-          byT.get(t) match {
-            case Some(pts) => DBSCAN.cluster(pts.map(r => Pt(r._1, r._3, r._4)), eps, m)
-            case None      => Vector.empty
-          }
-        val local = PCCD.mine(lo to hi, clustersAt, m)
-        (part, local.map(c => (c.objs.toSeq, c.ts, c.te)))
-      }
-      .collect()
-      .sortBy(_._1)
-    val t1 = System.nanoTime()
+    val partials = timer.phase("local") {
+      frame
+        .as[(Int, Int, Double, Double)]
+        .groupByKey(r => (r._2 - tsMin) / lambda)
+        .mapGroups { (part, rows) =>
+          val byT = rows.toArray.groupBy(_._2)
+          val lo = tsMin + part * lambda
+          val hi = math.min(tsMax, lo + lambda - 1)
+          val counter = new PointCounter
+          val clustersAt: Int => Vector[ObjSet] = t =>
+            byT.get(t) match {
+              case Some(pts) =>
+                counter.add(pts.length)
+                DBSCAN.cluster(pts.map(r => Pt(r._1, r._3, r._4)), eps, m)
+              case None => Vector.empty
+            }
+          val local = PCCD.mine(lo to hi, clustersAt, m)
+          (part, local.map(c => (c.objs.toSeq, c.ts, c.te)), counter.n)
+        }
+        .collect()
+        .sortBy(_._1)
+    }(_.iterator.map(_._2.length.toLong).sum)
 
     // Merge phase: fold adjacent partitions over their shared boundary.
-    val nParts = (tsMax - tsMin) / lambda + 1
-    val byPart: Map[Int, Vector[Convoy]] =
-      partials.iterator.map { case (i, cs) =>
-        i -> cs.map { case (o, a, b) => Convoy(ObjSets.of(o), a, b) }.toVector
-      }.toMap
-    var acc = byPart.getOrElse(0, Vector.empty)
-    var i = 1
-    while (i < nParts) {
-      val boundary = tsMin + i * lambda - 1 // last timestamp of partition i-1
-      acc = Merge.mergeAdjacent(acc, byPart.getOrElse(i, Vector.empty), boundary, m)
-      i += 1
-    }
-    val result = ConvoySets.maximal(acc.filter(_.len >= p.k))
-    val t2 = System.nanoTime()
+    val result = timer.phase("merge") {
+      val nParts = (tsMax - tsMin) / lambda + 1
+      val byPart: Map[Int, Vector[Convoy]] =
+        partials.iterator.map { case (i, cs, _) =>
+          i -> cs.map { case (o, a, b) => Convoy(ObjSets.of(o), a, b) }.toVector
+        }.toMap
+      var acc = byPart.getOrElse(0, Vector.empty)
+      var i = 1
+      while (i < nParts) {
+        val boundary = tsMin + i * lambda - 1 // last timestamp of partition i-1
+        acc = Merge.mergeAdjacent(acc, byPart.getOrElse(i, Vector.empty), boundary, m)
+        i += 1
+      }
+      ConvoySets.maximal(acc.filter(_.len >= p.k))
+    }(_.length)
 
-    Result(ConvoySets.sorted(result), (t1 - t0) / 1000000L, (t2 - t1) / 1000000L)
+    (ConvoySets.sorted(result), timer.report(partials.iterator.map(_._3).sum))
   }
 }

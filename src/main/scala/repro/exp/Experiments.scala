@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{Convoy, KHalfHop}
+import repro.core.{Convoy, KHalfHop, PhaseTimer, RunReport}
 import repro.core.KHalfHop.Params
 import repro.baseline.VCoDA
 import repro.data.{GridNetwork, TrajGen}
@@ -44,36 +44,30 @@ object Experiments {
     "k2-LSMT"  -> (() => LsmStore.create(data)),
   )
 
-  def timeMs[A](f: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val r = f
-    (r, (System.nanoTime() - t0) / 1e6)
-  }
+  /** Wall time of a run in ms, as the experiments print it. */
+  def ms(r: RunReport): Double = r.totalUs / 1e3
 
-  /** Run k/2-hop on a fresh store of the given variant; returns (convoys,
-    * stats, total ms including store queries but excluding store build).
+  /** Run k/2-hop on a fresh store of the given variant. The report's time
+    * includes store queries but excludes the store build.
     */
-  def runK2(variant: String, data: TrajData, p: Params): (Vector[Convoy], KHalfHop.Stats, Double) = {
+  def runK2(variant: String, data: TrajData, p: Params): (Vector[Convoy], RunReport) = {
     val store = storeVariants(data).collectFirst { case (`variant`, mk) => mk() }
       .getOrElse(sys.error(s"unknown store variant $variant"))
-    try {
-      val ((convoys, stats), ms) = timeMs(KHalfHop.run(store, p))
-      (convoys, stats, ms)
-    } finally store.close()
+    try KHalfHop.run(store, p)
+    finally store.close()
   }
 
   /** Run VCoDA (indexed = `*` variant) the way the paper's baselines run:
     * the dataset sits in a flat file which the algorithm must load end to
-    * end before mining; that load is part of the measured time (k2-File
-    * pays the same cost, k2-RDBMS/k2-LSMT pay per-query I/O instead).
+    * end before mining; that load is the report's first phase, `load`, and
+    * part of the measured time (k2-File pays the same cost,
+    * k2-RDBMS/k2-LSMT pay per-query I/O instead).
     */
-  def runVCoDA(data: TrajData, p: Params, indexed: Boolean): (VCoDA.Result, Double) = {
-    val path = vcodaFile(data)
-    timeMs {
-      val store = FileStore.open(path)
-      try VCoDA.run(store, p, indexed)
-      finally store.close()
-    }
+  def runVCoDA(data: TrajData, p: Params, indexed: Boolean): RunReport = {
+    val timer = new PhaseTimer
+    val store = timer.phase("load")(FileStore.open(vcodaFile(data)))(_.totalPoints)
+    val r = try VCoDA.run(store, p, indexed).report finally store.close()
+    r.copy(phases = timer.report(0L).phases ++ r.phases)
   }
 
   // Flat-file images reused across runs of the same dataset (writing the
@@ -132,8 +126,7 @@ object Experiments {
       val store = new MemStore(data)
       val processed = grid.map { p =>
         store.resetCounters()
-        val (_, stats) = KHalfHop.run(store, p)
-        stats.pointsProcessed
+        KHalfHop.run(store, p)._2.pointsProcessed
       }
       val total = data.totalPoints
       val minP = processed.min; val maxP = processed.max
@@ -158,9 +151,8 @@ object Experiments {
     for (k <- ks; variant <- Seq("k2-RDBMS", "k2-LSMT")) {
       val gains = grid.map { case (m, eps) =>
         val p = Params(m, k, eps)
-        val (_, vMs) = runVCoDA(data, p, indexed = true)
-        val (_, _, kMs) = runK2(variant, data, p)
-        vMs / math.max(kMs, 0.1)
+        val vMs = ms(runVCoDA(data, p, indexed = true))
+        vMs / math.max(ms(runK2(variant, data, p)._2), 0.1)
       }
       val sorted = gains.sorted
       val median = sorted(sorted.length / 2)
@@ -202,9 +194,9 @@ object Experiments {
       val data = dataset(name, scales(name))
       for ((label, p) <- axis.points) {
         val naiveCol =
-          if (name != "Brinkhoff") f"VCoDA=${runVCoDA(data, p, indexed = false)._2}%9.1f|" else "VCoDA=  crashed|"
-        val vStarMs = runVCoDA(data, p, indexed = true)._2
-        val variants = storeVariants(data).map { case (vn, _) => f"$vn=${runK2(vn, data, p)._3}%9.1f" }
+          if (name != "Brinkhoff") f"VCoDA=${ms(runVCoDA(data, p, indexed = false))}%9.1f|" else "VCoDA=  crashed|"
+        val vStarMs = ms(runVCoDA(data, p, indexed = true))
+        val variants = storeVariants(data).map { case (vn, _) => f"$vn=${ms(runK2(vn, data, p)._2)}%9.1f" }
         emit(sb, f"RESULT|${axis.tag}|$name%-10s|$label|" + naiveCol + f"VCoDA*=$vStarMs%9.1f|" + variants.mkString("|"))
       }
       emit(sb, axis.paper)
@@ -221,13 +213,10 @@ object Experiments {
     try {
       for (k <- ks) {
         val p = DefaultParams.copy(k = k)
-        val (_, stats) = KHalfHop.run(store, p)
-        val ph = stats.phases
-        emit(sb, f"RESULT|F8i|$name%-10s|k=$k%-4d|bench=${ph.benchmarkMs}%5d|cc=${ph.candidateMs}%4d|" +
-          f"hwmt=${ph.hwmtMs}%5d|merge=${ph.mergeMs}%4d|extR=${ph.extendRightMs}%5d|" +
-          f"extL=${ph.extendLeftMs}%5d|val=${ph.validateMs}%5d")
-        val vcoda = runVCoDA(data, p, indexed = true)._1
-        emit(sb, f"RESULT|F8j|$name%-10s|k=$k%-4d|k2-preval=${stats.preValidationConvoys}%4d|" +
+        val (_, report) = KHalfHop.run(store, p)
+        emit(sb, f"RESULT|F8i|$name%-10s|k=$k%-4d|" + report.phases.map(ph => f"${ph.name}=${ph.us / 1000}%5d").mkString("|"))
+        val vcoda = runVCoDA(data, p, indexed = true)
+        emit(sb, f"RESULT|F8j|$name%-10s|k=$k%-4d|k2-preval=${report.preValidationConvoys}%4d|" +
           f"vcoda-preval=${vcoda.preValidationConvoys}%4d")
       }
     } finally store.close()
@@ -251,10 +240,10 @@ object Experiments {
         groups = all.take(g), world = 8000.0, seed = 7,
       ))
       val p = DefaultParams
-      val (convoysR, _, rMs) = runK2("k2-RDBMS", data, p)
-      val (convoysL, _, lMs) = runK2("k2-LSMT", data, p)
+      val (convoysR, r) = runK2("k2-RDBMS", data, p)
+      val (convoysL, l) = runK2("k2-LSMT", data, p)
       require(convoysR == convoysL)
-      emit(sb, f"RESULT|CONVCNT|groups=$g%-2d|convoys=${convoysR.length}%3d|k2-RDBMS=$rMs%8.1f|k2-LSMT=$lMs%8.1f")
+      emit(sb, f"RESULT|CONVCNT|groups=$g%-2d|convoys=${convoysR.length}%3d|k2-RDBMS=${ms(r)}%8.1f|k2-LSMT=${ms(l)}%8.1f")
     }
     emit(sb, "paper: execution time generally increases with the number of convoys found")
   }
@@ -267,9 +256,9 @@ object Experiments {
     for (s <- scales) {
       val data = TrajGen.brinkhoffLite(s)
       val p = DefaultParams
-      val vStarMs = runVCoDA(data, p, indexed = true)._2
-      val (_, _, rMs) = runK2("k2-RDBMS", data, p)
-      val (_, _, lMs) = runK2("k2-LSMT", data, p)
+      val vStarMs = ms(runVCoDA(data, p, indexed = true))
+      val rMs = ms(runK2("k2-RDBMS", data, p)._2)
+      val lMs = ms(runK2("k2-LSMT", data, p)._2)
       emit(sb, f"RESULT|F8l|points=${data.totalPoints}%8d|VCoDA*=$vStarMs%9.1f|k2-RDBMS=$rMs%8.1f|k2-LSMT=$lMs%8.1f")
     }
     emit(sb, "paper: VCoDA* grows sharply (crashes on Brinkhoff); k2-* sub-linear, ~2 orders faster")
@@ -285,10 +274,10 @@ object Experiments {
       val df = TrajGen.toDF(spark, data).cache()
       df.count()
       val p = DefaultParams
-      val spare = repro.spare.SPARE.run(spark, df, p)
-      val (_, _, k2Ms) = runK2("k2-LSMT", data, p)
-      val gain = spare.totalMs / math.max(k2Ms, 0.1)
-      emit(sb, f"RESULT|F7d|$name%-10s|SPARE=${spare.totalMs}%8d ms (stage1=${spare.stage1Ms}%6d)|" +
+      val spare = repro.spare.SPARE.run(spark, df, p)._2
+      val k2Ms = ms(runK2("k2-LSMT", data, p)._2)
+      val gain = ms(spare) / math.max(k2Ms, 0.1)
+      emit(sb, f"RESULT|F7d|$name%-10s|SPARE=${spare.totalUs / 1000}%8d ms (stage1=${spare("stage1").us / 1000}%6d)|" +
         f"k2-LSMT=$k2Ms%8.1f ms|gain=$gain%8.1f")
       df.unpersist()
     }
@@ -302,10 +291,10 @@ object Experiments {
       val df = TrajGen.toDF(spark, data).cache()
       df.count()
       val p = DefaultParams
-      val dcm = repro.dcm.DCM.run(spark, df, p, lambda = p.k)
-      val (_, _, k2Ms) = runK2("k2-LSMT", data, p)
-      val gain = dcm.totalMs / math.max(k2Ms, 0.1)
-      emit(sb, f"RESULT|F7g|$name%-10s|DCM=${dcm.totalMs}%8d ms|k2-LSMT=$k2Ms%8.1f ms|gain=$gain%8.1f")
+      val dcm = repro.dcm.DCM.run(spark, df, p, lambda = p.k)._2
+      val k2Ms = ms(runK2("k2-LSMT", data, p)._2)
+      val gain = ms(dcm) / math.max(k2Ms, 0.1)
+      emit(sb, f"RESULT|F7g|$name%-10s|DCM=${dcm.totalUs / 1000}%8d ms|k2-LSMT=$k2Ms%8.1f ms|gain=$gain%8.1f")
       df.unpersist()
     }
     emit(sb, "paper: k/2-hop up to 140x faster than DCM on a 4-node cluster")

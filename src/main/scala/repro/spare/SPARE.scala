@@ -5,9 +5,8 @@ import org.apache.spark.sql.functions._
 
 import scala.collection.mutable
 
-import repro.core.{Convoy, ConvoySets, DBSCAN, ObjSets, Pt}
+import repro.core.{Convoy, ConvoySets, DBSCAN, ObjSets, PhaseTimer, Pt, RunReport}
 import repro.core.KHalfHop.Params
-import repro.core.ObjSets.ObjSet
 
 /** The SPARE framework (Fan et al., PVLDB'17) — the state-of-the-art
   * parallel baseline of §6 — specialized to the convoy pattern, on Spark.
@@ -33,50 +32,51 @@ import repro.core.ObjSets.ObjSet
   */
 object SPARE {
 
-  final case class Result(convoys: Vector[Convoy], stage1Ms: Long, stage2Ms: Long) {
-    def totalMs: Long = stage1Ms + stage2Ms
-  }
-
-  def run(spark: SparkSession, df: DataFrame, p: Params): Result = {
+  /** The sorted maximal convoys and the run's report: phases `stage1`
+    * (output: snapshot clusters) and `stage2` (output: convoys), and the
+    * points the stage-1 reducers clustered.
+    */
+  def run(spark: SparkSession, df: DataFrame, p: Params): (Vector[Convoy], RunReport) = {
     import spark.implicits._
     val eps = p.eps; val m = p.m; val k = p.k
+    val timer = new PhaseTimer
 
     // Stage 1: cluster every snapshot.
-    val t0 = System.nanoTime()
-    val snapshotClusters = df
-      .select($"oid", $"t", $"x", $"y")
-      .as[(Int, Int, Double, Double)]
-      .groupByKey(_._2)
-      .mapGroups { (t, rows) =>
-        val pts = rows.map(r => Pt(r._1, r._3, r._4)).toArray
-        (t, DBSCAN.cluster(pts, eps, m).map(_.toSeq))
-      }
-      .persist()
-    snapshotClusters.count() // force stage 1
-    val t1 = System.nanoTime()
+    val (snapshotClusters, sizes) = timer.phase("stage1") {
+      val clustered = df
+        .select($"oid", $"t", $"x", $"y")
+        .as[(Int, Int, Double, Double)]
+        .groupByKey(_._2)
+        .mapGroups { (t, rows) =>
+          val pts = rows.map(r => Pt(r._1, r._3, r._4)).toArray
+          (t, DBSCAN.cluster(pts, eps, m).map(_.toSeq), pts.length)
+        }
+        .persist()
+      // (points, clusters) per snapshot; collecting them forces stage 1.
+      (clustered, clustered.map(r => (r._3.toLong, r._2.length.toLong)).collect())
+    }(_._2.iterator.map(_._2).sum)
 
     // Stage 2: star partitioning.
-    val stars = snapshotClusters
-      .flatMap { case (t, clusters) =>
-        clusters.iterator.flatMap { c =>
-          c.iterator.flatMap(o => c.iterator.filter(_ > o).map(o2 => (o, o2, t)))
+    val result = timer.phase("stage2") {
+      val stars = snapshotClusters
+        .flatMap { case (t, clusters, _) =>
+          clusters.iterator.flatMap { c =>
+            c.iterator.flatMap(o => c.iterator.filter(_ > o).map(o2 => (o, o2, t)))
+          }
         }
-      }
-      .groupByKey(_._1)
-      .mapGroups { (star, edges) =>
-        val byNeighbor = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-        edges.foreach { case (_, o2, t) => byNeighbor.getOrElseUpdate(o2, mutable.ArrayBuffer.empty) += t }
-        val convoys = enumerateStar(star, byNeighbor.map { case (o, ts) => o -> ts.toArray.sorted }.toMap, m, k)
-        convoys.map(c => (c.objs.toSeq, c.ts, c.te))
-      }
-      .collect()
-
-    val all = stars.iterator.flatten.map { case (o, a, b) => Convoy(ObjSets.of(o), a, b) }.toVector
-    val result = ConvoySets.maximal(all)
-    val t2 = System.nanoTime()
+        .groupByKey(_._1)
+        .mapGroups { (star, edges) =>
+          val byNeighbor = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+          edges.foreach { case (_, o2, t) => byNeighbor.getOrElseUpdate(o2, mutable.ArrayBuffer.empty) += t }
+          val convoys = enumerateStar(star, byNeighbor.map { case (o, ts) => o -> ts.toArray.sorted }.toMap, m, k)
+          convoys.map(c => (c.objs.toSeq, c.ts, c.te))
+        }
+        .collect()
+      ConvoySets.maximal(stars.iterator.flatten.map { case (o, a, b) => Convoy(ObjSets.of(o), a, b) }.toVector)
+    }(_.length)
     snapshotClusters.unpersist()
 
-    Result(ConvoySets.sorted(result), (t1 - t0) / 1000000L, (t2 - t1) / 1000000L)
+    (ConvoySets.sorted(result), timer.report(sizes.iterator.map(_._1).sum))
   }
 
   /** Apriori enumeration inside one star: grow `{star} ∪ S` with neighbors

@@ -5,7 +5,6 @@ import org.apache.spark.sql.functions._
 
 import repro.core._
 import repro.core.KHalfHop.Params
-import repro.core.ObjSets.ObjSet
 import repro.store.{MemStore, PointCache, TrajData}
 
 /** Spark-parallel k/2-hop (§7 future work, realized here per the repro
@@ -30,44 +29,41 @@ import repro.store.{MemStore, PointCache, TrajData}
   */
 object SparkKHalfHop {
 
-  final case class Stats(
-      totalPoints: Long,
-      benchmarkPointsRead: Long,
-      hwmtPointsRead: Long,
-      finishPointsRead: Long,
-  ) {
-    def pointsRead: Long = benchmarkPointsRead + hwmtPointsRead + finishPointsRead
-  }
-
-  /** `df` must have columns (oid INT, t INT, x DOUBLE, y DOUBLE). */
-  def run(spark: SparkSession, df: DataFrame, p: Params): (Vector[Convoy], Stats) = {
+  /** `df` must have columns (oid INT, t INT, x DOUBLE, y DOUBLE). The report
+    * has the phases and `pointsProcessed` of `KHalfHop.run`; the collection
+    * of candidate points to the driver is charged to `merge`.
+    */
+  def run(spark: SparkSession, df: DataFrame, p: Params): (Vector[Convoy], RunReport) = {
     import spark.implicits._
 
     val frame = df.select($"oid", $"t", $"x", $"y")
-    val totalPoints = frame.count()
     val bounds = frame.agg(min($"t"), max($"t")).head()
     val tsMin = bounds.getInt(0)
     val tsMax = bounds.getInt(1)
     val h = p.k / 2
     val bps = KHalfHop.benchmarkPoints(tsMin, tsMax, p.k)
+    val counter = new PointCounter
+    val timer = new PhaseTimer
 
     // Step 1: benchmark snapshots clustered in executors.
     val eps = p.eps; val m = p.m
-    val benchRows = frame
-      .filter($"t".isin(bps: _*))
-      .as[(Int, Int, Double, Double)]
-      .groupByKey(_._2)
-      .mapGroups { (t, rows) =>
-        val pts = rows.map(r => Pt(r._1, r._3, r._4)).toArray
-        (t, DBSCAN.cluster(pts, eps, m).map(_.toSeq), pts.length)
-      }
-      .collect()
-    val benchmarkPointsRead = benchRows.map(_._3.toLong).sum
-    val clustersAtBp: Map[Int, Vector[ObjSet]] =
-      benchRows.map(r => r._1 -> r._2.map(s => ObjSets.of(s)).toVector).toMap
+    val benchClusters = timer.phase("bench") {
+      val benchRows = frame
+        .filter($"t".isin(bps: _*))
+        .as[(Int, Int, Double, Double)]
+        .groupByKey(_._2)
+        .mapGroups { (t, rows) =>
+          val pts = rows.map(r => Pt(r._1, r._3, r._4)).toArray
+          (t, DBSCAN.cluster(pts, eps, m).map(_.toSeq), pts.length)
+        }
+        .collect()
+      benchRows.foreach(r => counter.add(r._3))
+      val clustersAtBp = benchRows.map(r => r._1 -> r._2.map(s => ObjSets.of(s)).toVector).toMap
+      bps.map(b => clustersAtBp.getOrElse(b, Vector.empty))
+    }(KHalfHop.totalSize)
 
     // Step 2: candidate clusters per hop-window (driver; inputs are tiny).
-    val cc = KHalfHop.candidates(bps.map(b => clustersAtBp.getOrElse(b, Vector.empty)), p.m)
+    val cc = timer.phase("cc")(KHalfHop.candidates(benchClusters, p.m))(KHalfHop.totalSize)
 
     // Step 3: HWMT per hop-window, distributed. A point (oid, t) belongs to
     // window i iff b_i < t < b_{i+1} and oid is in one of window i's
@@ -78,49 +74,46 @@ object SparkKHalfHop {
     val bBps = spark.sparkContext.broadcast(bps)
     val bCc = spark.sparkContext.broadcast(cc)
 
-    val spanningRows = frame
-      .as[(Int, Int, Double, Double)]
-      .flatMap { r =>
-        val bpsv = bBps.value
-        val i = (r._2 - bpsv.head) / h // b_i <= t < b_{i+1}
-        if (r._2 > bpsv(i) && bWindowObjs.value.get(i).exists(_.contains(r._1))) Some((i, r._1, r._2, r._3, r._4))
-        else None
+    val spanning = timer.phase("hwmt") {
+      val spanningRows = frame
+        .as[(Int, Int, Double, Double)]
+        .flatMap { r =>
+          val bpsv = bBps.value
+          val i = (r._2 - bpsv.head) / h // b_i <= t < b_{i+1}
+          if (r._2 > bpsv(i) && bWindowObjs.value.get(i).exists(_.contains(r._1))) Some((i, r._1, r._2, r._3, r._4))
+          else None
+        }
+        .groupByKey(_._1)
+        .mapGroups { (win, rows) =>
+          val b1 = bBps.value(win); val b2 = bBps.value(win + 1)
+          val store = new MemStore(TrajData.fromPoints(b1, b2, rows.map(r => (r._3, Pt(r._2, r._4, r._5))).toVector))
+          val windowCounter = new PointCounter
+          val convoys = HWMT.mineWindow((t, objs) => store.select(t, objs), b1, b2, bCc.value(win), eps, m, windowCounter)
+          (win, convoys.map(c => (c.objs.toSeq, c.ts, c.te)), windowCounter.n)
+        }
+        .collect()
+      spanningRows.foreach(r => counter.add(r._3))
+      val spanningByWin: Map[Int, Vector[Convoy]] =
+        spanningRows.map(r => r._1 -> r._2.map { case (o, a, b) => Convoy(ObjSets.of(o), a, b) }.toVector).toMap
+      cc.indices.toVector.map { i =>
+        if (h == 1) cc(i).map(o => Convoy(o, bps(i), bps(i + 1))) // no interior timestamps
+        else spanningByWin.getOrElse(i, Vector.empty) // no candidate point inside: the window died
       }
-      .groupByKey(_._1)
-      .mapGroups { (win, rows) =>
-        val b1 = bBps.value(win); val b2 = bBps.value(win + 1)
-        val store = new MemStore(TrajData.fromPoints(b1, b2, rows.map(r => (r._3, Pt(r._2, r._4, r._5))).toVector))
-        val counter = new PointCounter
-        val convoys = HWMT.mineWindow((t, objs) => store.select(t, objs), b1, b2, bCc.value(win), eps, m, counter)
-        (win, convoys.map(c => (c.objs.toSeq, c.ts, c.te)), counter.n)
-      }
-      .collect()
-
-    val hwmtPointsRead = spanningRows.map(_._3).sum
-    val spanningByWin: Map[Int, Vector[Convoy]] =
-      spanningRows.map(r => r._1 -> r._2.map { case (o, a, b) => Convoy(ObjSets.of(o), a, b) }.toVector).toMap
-    val spanning = cc.indices.map { i =>
-      if (h == 1) cc(i).map(o => Convoy(o, bps(i), bps(i + 1))) // no interior timestamps
-      else spanningByWin.getOrElse(i, Vector.empty) // no candidate point inside: the window died
-    }
-
-    // Steps 4-6 on the pruned remainder: collect only candidate objects.
-    val vm = Merge.mergeSpanning(spanning, p.m)
-    val candObjs = vm.iterator.flatMap(_.objs).toSet
-    val (convoys, finishPointsRead) =
-      if (candObjs.isEmpty) (Vector.empty[Convoy], 0L)
-      else {
-        val local = frame
-          .filter($"oid".isin(candObjs.toSeq: _*))
-          .as[(Int, Int, Double, Double)]
-          .collect()
-        val cache = new PointCache(new MemStore(TrajData.fromPoints(tsMin, tsMax, local.map(r => (r._2, Pt(r._1, r._3, r._4))))))
-        val done = KHalfHop.finish(cache.select, tsMin, tsMax, vm, p, new PointCounter)
-        (done.convoys, local.length.toLong)
-      }
-
+    }(KHalfHop.totalSize)
     bWindowObjs.destroy(); bBps.destroy(); bCc.destroy()
-    (convoys, Stats(totalPoints, benchmarkPointsRead, hwmtPointsRead, finishPointsRead))
-  }
 
+    // Step 4: merge, then collect only the points of candidate objects.
+    val (vm, cache) = timer.phase("merge") {
+      val vm = Merge.mergeSpanning(spanning, p.m)
+      val candObjs = vm.iterator.flatMap(_.objs).toSet
+      val local =
+        if (candObjs.isEmpty) Array.empty[(Int, Int, Double, Double)]
+        else frame.filter($"oid".isin(candObjs.toSeq: _*)).as[(Int, Int, Double, Double)].collect()
+      (vm, new PointCache(new MemStore(TrajData.fromPoints(tsMin, tsMax, local.map(r => (r._2, Pt(r._1, r._3, r._4)))))))
+    }(_._1.length)
+
+    // Steps 5-6 on the pruned remainder.
+    val convoys = KHalfHop.finish(cache.select, tsMin, tsMax, vm, p, counter, timer)
+    (convoys, timer.report(counter.n))
+  }
 }

@@ -1,7 +1,9 @@
 package repro.store
 
-/** Shared base for stores backed (directly or indirectly) by a `TrajData`
-  * image held in memory; concrete stores differ in what a read *costs*.
+/** Shared base for stores that charge every point they materialize to one
+  * read counter. `MemStore` and `FileStore` serve a `TrajData` image held in
+  * memory; `RdbmsStore` reads from DuckDB and `LsmStore` from its on-disk
+  * sorted runs. The stores differ in what a read costs.
   */
 abstract class CountingStore extends TrajectoryStore {
   protected var reads: Long = 0L

@@ -38,21 +38,12 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     */
   private val points = mutable.LongMap.empty[Pt]
 
-  private var fetched = 0L
-
-  /** Points this cache has fetched from the store. */
-  def pointsFetched: Long = fetched
-
   override def ts: Int = store.ts
   override def te: Int = store.te
   override def totalPoints: Long = store.totalPoints
 
   override def snapshot(t: Int): Array[Pt] =
-    snapshots.getOrElseUpdate(t, {
-      val all = store.snapshot(t)
-      fetched += all.length
-      all
-    })
+    snapshots.getOrElseUpdate(t, store.snapshot(t))
 
   override def select(t: Int, oids: ObjSet): Array[Pt] = {
     val all = snapshots.getOrNull(t)
@@ -80,7 +71,6 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     var j = 0
     for (i <- found.indices if found(i) eq null) { ask(j) = oids(i); j += 1 }
     val got = store.select(t, ArraySeq.unsafeWrapArray(ask))
-    fetched += got.length
     var g = 0
     for (i <- found.indices if found(i) eq null) {
       val p = if (g < got.length && got(g).oid == oids(i)) { g += 1; got(g - 1) } else Absent

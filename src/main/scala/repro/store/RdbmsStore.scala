@@ -69,8 +69,8 @@ final class RdbmsStore private (
 
 object RdbmsStore {
 
-  /** Load `data` into a fresh in-process DuckDB database and index it. Uses
-    * the native appender when available, falling back to JDBC batches.
+  /** Load `data` into a fresh in-process DuckDB database with the native
+    * appender, and index it.
     */
   def create(data: TrajData): RdbmsStore = {
     Class.forName("org.duckdb.DuckDBDriver")
@@ -79,26 +79,11 @@ object RdbmsStore {
     st.execute("CREATE TABLE traj (t INTEGER, oid INTEGER, x DOUBLE, y DOUBLE)")
     st.close()
 
-    val loadedViaAppender =
-      try {
-        val app = conn.asInstanceOf[org.duckdb.DuckDBConnection].createAppender("main", "traj")
-        data.iterator.foreach { case (t, p) =>
-          app.beginRow(); app.append(t); app.append(p.oid); app.append(p.x); app.append(p.y); app.endRow()
-        }
-        app.close()
-        true
-      } catch { case _: Throwable => false }
-
-    if (!loadedViaAppender) {
-      val ps = conn.prepareStatement("INSERT INTO traj VALUES (?, ?, ?, ?)")
-      var n = 0
-      data.iterator.foreach { case (t, p) =>
-        ps.setInt(1, t); ps.setInt(2, p.oid); ps.setDouble(3, p.x); ps.setDouble(4, p.y)
-        ps.addBatch(); n += 1
-        if (n % 10000 == 0) ps.executeBatch()
-      }
-      ps.executeBatch(); ps.close()
+    val app = conn.asInstanceOf[org.duckdb.DuckDBConnection].createAppender("main", "traj")
+    data.iterator.foreach { case (t, p) =>
+      app.beginRow(); app.append(t); app.append(p.oid); app.append(p.x); app.append(p.y); app.endRow()
     }
+    app.close()
 
     val idx = conn.createStatement()
     idx.execute("CREATE INDEX traj_t_oid ON traj (t, oid)")

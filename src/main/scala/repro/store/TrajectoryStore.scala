@@ -46,12 +46,21 @@ trait TrajectoryStore extends AutoCloseable {
   * generators and consumed by every store constructor.
   *
   * `byTime(i)` holds the points of timestamp `ts + i`, each array in
-  * strictly increasing oid order: duplicate `(t, oid)` rows are rejected.
+  * strictly increasing oid order: duplicate `(t, oid)` rows are rejected,
+  * and so are NaN or infinite coordinates, which DBSCAN would silently
+  * turn into noise and the grid index into a wrapped cell.
   */
 final case class TrajData(ts: Int, te: Int, byTime: Array[Array[Pt]]) {
   require(byTime.length == te - ts + 1, "byTime length must cover [ts, te]")
-  require(byTime.forall(pts => (1 until pts.length).forall(i => pts(i - 1).oid < pts(i).oid)),
-    "oids must be strictly increasing within each timestamp")
+  byTime.foreach { pts =>
+    var i = 0
+    while (i < pts.length) {
+      val p = pts(i)
+      require(java.lang.Double.isFinite(p.x) && java.lang.Double.isFinite(p.y), s"non-finite coordinates: $p")
+      require(i == 0 || pts(i - 1).oid < p.oid, "oids must be strictly increasing within each timestamp")
+      i += 1
+    }
+  }
 
   def totalPoints: Long = byTime.foldLeft(0L)(_ + _.length)
 

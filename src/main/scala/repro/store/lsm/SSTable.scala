@@ -13,9 +13,11 @@ import scala.collection.mutable.ArrayBuffer
   * `FenceStride`-th key) narrows the search to one stride before seeking,
   * keeping disk seeks at ~log2(stride) per point read.
   *
-  * Keys encode (timestamp, oid) as `(t << 32) | oid`, which makes a
-  * per-timestamp scan a contiguous key range — the property §5.2 of the
-  * paper relies on for single-seek benchmark reads.
+  * Keys encode (timestamp, oid) as built by `LsmStore.key`: `t` in the high
+  * 32 bits and `oid ^ Int.MinValue` in the low 32, so keys sort by (t, oid)
+  * with negative oids first. A per-timestamp scan is therefore a contiguous
+  * key range — the property §5.2 of the paper relies on for single-seek
+  * benchmark reads.
   */
 final class SSTable private (val path: Path, val count: Long) extends AutoCloseable {
   import SSTable._

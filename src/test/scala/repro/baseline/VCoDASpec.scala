@@ -17,36 +17,38 @@ class VCoDASpec extends AnyFunSuite {
       val naive = VCoDA.run(new MemStore(data), p, indexed = false)
       val star = VCoDA.run(new MemStore(data), p, indexed = true)
       assert(naive.convoys == star.convoys, s"seed=$seed")
-      assert(naive.preValidationConvoys == star.preValidationConvoys)
+      assert(naive.report.preValidationConvoys == star.report.preValidationConvoys)
     }
   }
 
   test("VCoDA processes the whole dataset (no pruning, by design)") {
     val data = TrajGen.trucksLite(scale = 0.3)
     val r = VCoDA.run(new MemStore(data), Params(3, 30, 25.0), indexed = true)
-    assert(r.pointsProcessed >= data.totalPoints)
+    assert(r.report.pointsProcessed >= data.totalPoints)
   }
 
   test("k/2-hop processes far fewer points than VCoDA on the same data") {
     val data = TrajGen.tdriveLite(scale = 0.3)
     val p = Params(3, 60, 25.0)
     val vcoda = VCoDA.run(new MemStore(data), p, indexed = true)
-    val (_, stats) = repro.core.KHalfHop.run(new MemStore(data), p)
-    assert(stats.pointsProcessed < vcoda.pointsProcessed / 4,
-      s"k2=${stats.pointsProcessed} vcoda=${vcoda.pointsProcessed}")
+    val (_, k2) = repro.core.KHalfHop.run(new MemStore(data), p)
+    assert(k2.pointsProcessed < vcoda.report.pointsProcessed / 4,
+      s"k2=${k2.pointsProcessed} vcoda=${vcoda.report.pointsProcessed}")
   }
 
   test("pre-validation convoy count is reported and >= final convoy count") {
     val data = TrajGen.trucksLite(scale = 0.5)
     val r = VCoDA.run(new MemStore(data), Params(3, 40, 25.0), indexed = true)
-    assert(r.preValidationConvoys >= r.convoys.length)
+    assert(r.report.preValidationConvoys == r.report("mine").out)
+    assert(r.report.preValidationConvoys >= r.convoys.length)
   }
 
   test("phase timings are populated") {
     val data = TrajGen.trucksLite(scale = 0.3)
     val r = VCoDA.run(new MemStore(data), Params(3, 30, 25.0), indexed = true)
-    assert(r.totalMs >= 0)
-    assert(r.clusterMs >= 0 && r.mineMs >= 0 && r.validateMs >= 0)
+    assert(r.report.phases.map(_.name) == Vector("cluster", "mine", "val"))
+    assert(r.report.phases.forall(_.us >= 0))
+    assert(r.report.convoys == r.convoys.length)
   }
 
   test("empty-ish dataset (all noise) yields no convoys") {

@@ -14,10 +14,10 @@ import repro.store.MemStore
 class EndToEndSpec extends AnyFunSuite {
 
   private def check(data: repro.store.TrajData, p: Params): Unit = {
-    val (k2, stats) = KHalfHop.run(new MemStore(data), p)
+    val (k2, report) = KHalfHop.run(new MemStore(data), p)
     val vc = VCoDA.run(new MemStore(data), p, indexed = true)
     assert(k2 == vc.convoys, s"p=$p")
-    assert(stats.pointsProcessed <= vc.pointsProcessed)
+    assert(report.pointsProcessed <= vc.report.pointsProcessed)
   }
 
   private val cases = for {

@@ -59,18 +59,19 @@ class ExtendSpec extends AnyFunSuite {
     assert(acc.toSet == Set(Convoy(os(0, 1, 2), 7, 9)))
   }
 
-  private def finish(vm: Convoy*): KHalfHop.Finished =
-    KHalfHop.finish(sel(new MemStore(data)), 0, 9, vm.toVector, KHalfHop.Params(2, 8, 1.5), new PointCounter)
+  /** The pre-validation set that `KHalfHop.finish` validates. */
+  private def preValidation(vm: Convoy*): Vector[Convoy] =
+    KHalfHop.extend(sel(new MemStore(data)), 0, 9, vm.toVector, KHalfHop.Params(2, 8, 1.5), new PointCounter, new PhaseTimer)
 
   test("finish applies the k filter only after both passes") {
     // Spanning convoy of length 3 (< k=8) must survive because extension
     // grows it to [0,9] (length 10 >= 8).
-    val ve = finish(Convoy(os(0, 1, 2), 4, 6)).preValidation
+    val ve = preValidation(Convoy(os(0, 1, 2), 4, 6))
     assert(ve.toSet == Set(Convoy(os(0, 1, 2), 0, 9)))
   }
 
   test("finish drops convoys that stay below k") {
-    val ve = finish(Convoy(os(0, 1, 2, 3), 3, 6)).preValidation
+    val ve = preValidation(Convoy(os(0, 1, 2, 3), 3, 6))
     // {0,1,2,3} caps at [3,6] (len 4 < 8): dropped. Offshoot {0,1,2} reaches [0,9].
     assert(ve.toSet == Set(Convoy(os(0, 1, 2), 0, 9)))
   }

@@ -9,7 +9,7 @@ import repro.core.KHalfHop.Params
 import repro.data.TrajGen
 import repro.store.{MemStore, PointCache, RecordingStore}
 
-/** Parameter validation, statistics and pruning invariants of the k/2-hop
+/** Parameter validation, run report and pruning invariants of the k/2-hop
   * driver (the quantities behind Tables 5 and Figures 8i/8j).
   */
 class KHalfHopStatsSpec extends AnyFunSuite {
@@ -25,17 +25,17 @@ class KHalfHopStatsSpec extends AnyFunSuite {
   test("benchmark point count matches ceil((Te-Ts)/floor(k/2)) + 1") {
     val data = TestData.randomTiny(1, 6, 41) // Ts=0, Te=40
     for (k <- Seq(2, 4, 6, 10, 20)) {
-      val (_, stats) = KHalfHop.run(new MemStore(data), Params(2, k, TestData.GridEps))
+      val recorder = new RecordingStore(new MemStore(data))
+      KHalfHop.run(recorder, Params(2, k, TestData.GridEps))
       val h = k / 2
-      assert(stats.benchmarkPoints == (40 / h) + 1, s"k=$k")
+      assert(recorder.calls.count(_.oids.isEmpty) == (40 / h) + 1, s"k=$k")
     }
   }
 
   test("pointsProcessed <= totalPoints * small factor and decreases as k grows") {
     val data = TrajGen.tdriveLite(scale = 0.3)
     val processed = Seq(10, 40, 100).map { k =>
-      val (_, stats) = KHalfHop.run(new MemStore(data), Params(3, k, 25.0))
-      stats.pointsProcessed
+      KHalfHop.run(new MemStore(data), Params(3, k, 25.0))._2.pointsProcessed
     }
     assert(processed(1) < processed(0), s"processed=$processed")
     assert(processed(2) < processed(1), s"processed=$processed")
@@ -43,26 +43,27 @@ class KHalfHopStatsSpec extends AnyFunSuite {
 
   test("pruning percentage is consistent with counts") {
     val data = TrajGen.trucksLite(scale = 0.5)
-    val (_, stats) = KHalfHop.run(new MemStore(data), Params(3, 40, 25.0))
-    val expect = 100.0 * (stats.totalPoints - stats.pointsProcessed) / stats.totalPoints
-    assert(math.abs(stats.pruningPct - expect) < 1e-9)
-    assert(stats.pruningPct > 50.0, s"pruning=${stats.pruningPct}")
+    val (_, report) = KHalfHop.run(new MemStore(data), Params(3, 40, 25.0))
+    assert(report.pointsProcessed < data.totalPoints / 2, s"processed ${report.pointsProcessed} of ${data.totalPoints}")
   }
 
   test("pipeline cardinalities are coherent") {
     val data = TrajGen.trucksLite(scale = 0.5)
-    val (convoys, stats) = KHalfHop.run(new MemStore(data), Params(3, 40, 25.0))
-    assert(stats.convoys == convoys.length)
-    assert(stats.preValidationConvoys >= 0)
-    assert(stats.maximalSpanning <= stats.spanningConvoys || stats.spanningConvoys == 0 ||
-      stats.maximalSpanning <= stats.spanningConvoys + stats.candidateClusters)
-    assert(stats.candidateClusters <= stats.benchmarkClusters * stats.benchmarkClusters)
+    val (convoys, report) = KHalfHop.run(new MemStore(data), Params(3, 40, 25.0))
+    val (bench, merge) = (report("bench").out, report("merge").out)
+    assert(report.convoys == convoys.length)
+    assert(report.preValidationConvoys == report("extL").out && report.preValidationConvoys >= 0)
+    assert(merge <= report.spanningConvoys || report.spanningConvoys == 0 ||
+      merge <= report.spanningConvoys + report.candidateClusters)
+    assert(report.candidateClusters <= bench * bench)
   }
 
   test("phase timings cover the pipeline") {
     val data = TrajGen.trucksLite(scale = 0.5)
-    val (_, stats) = KHalfHop.run(new MemStore(data), Params(3, 40, 25.0))
-    assert(stats.phases.totalMs >= 0)
+    val (_, report) = KHalfHop.run(new MemStore(data), Params(3, 40, 25.0))
+    assert(report.phases.map(_.name) == Vector("bench", "cc", "hwmt", "merge", "extR", "extL", "val"))
+    assert(report.phases.forall(_.us >= 0))
+    assert(report.totalUs == report.phases.map(_.us).sum)
   }
 
   test("store read counter sees at least the benchmark snapshots") {
@@ -70,12 +71,12 @@ class KHalfHopStatsSpec extends AnyFunSuite {
     val p = Params(3, 40, 25.0)
     val store = new MemStore(data)
     val recorder = new RecordingStore(store)
-    val (_, stats) = KHalfHop.run(recorder, p)
-    assert(store.pointsRead == stats.pointsFetched, "MemStore counts exactly the points the run fetched")
+    val (_, report) = KHalfHop.run(recorder, p)
+    assert(store.pointsRead == recorder.returned.length, "MemStore counts exactly the points the run fetched")
     val snapshotPoints =
       KHalfHop.benchmarkPoints(data.ts, data.te, p.k).map(b => data.byTime(b - data.ts).length.toLong).sum
-    assert(snapshotPoints <= stats.pointsFetched, s"$snapshotPoints benchmark points, ${stats.pointsFetched} fetched")
-    assert(stats.pointsFetched <= stats.pointsProcessed, s"${stats.pointsFetched} fetched, ${stats.pointsProcessed} processed")
+    assert(snapshotPoints <= store.pointsRead, s"$snapshotPoints benchmark points, ${store.pointsRead} read")
+    assert(store.pointsRead <= report.pointsProcessed, s"${store.pointsRead} read, ${report.pointsProcessed} processed")
     val twice = recorder.returned.groupBy(identity).collect { case (tOid, n) if n.length > 1 => tOid }
     assert(twice.isEmpty, s"(t, oid) returned more than once in one run: ${twice.take(5)}")
   }
@@ -105,9 +106,9 @@ class KHalfHopStatsSpec extends AnyFunSuite {
 
   test("k larger than the dataset span yields no convoys and minimal work") {
     val data = TestData.randomTiny(5, 6, 20)
-    val (convoys, stats) = KHalfHop.run(new MemStore(data), Params(2, 50, TestData.GridEps))
+    val (convoys, report) = KHalfHop.run(new MemStore(data), Params(2, 50, TestData.GridEps))
     assert(convoys.isEmpty)
-    assert(stats.pointsProcessed <= data.totalPoints)
+    assert(report.pointsProcessed <= data.totalPoints)
   }
 
   test("results are independent of the store's read order (same data, two runs)") {

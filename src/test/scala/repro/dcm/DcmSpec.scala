@@ -22,8 +22,8 @@ class DcmSpec extends SparkSpec {
     for (seed <- 1L to 4L; lambda <- Seq(3, 5, 10, 40)) {
       val data = TestData.randomTiny(seed, 8, 25)
       val p = Params(2, 4, TestData.GridEps)
-      val dcm = DCM.run(spark, TrajGen.toDF(spark, data), p, lambda)
-      assert(dcm.convoys == pccdOn(data, p), s"seed=$seed lambda=$lambda")
+      val (dcm, _) = DCM.run(spark, TrajGen.toDF(spark, data), p, lambda)
+      assert(dcm == pccdOn(data, p), s"seed=$seed lambda=$lambda")
     }
   }
 
@@ -31,16 +31,18 @@ class DcmSpec extends SparkSpec {
     val data = TrajGen.trucksLite(scale = 0.3)
     val p = Params(3, 40, 25.0)
     for (lambda <- Seq(25, 100)) {
-      val dcm = DCM.run(spark, TrajGen.toDF(spark, data), p, lambda)
-      assert(dcm.convoys == pccdOn(data, p), s"lambda=$lambda")
+      val (dcm, report) = DCM.run(spark, TrajGen.toDF(spark, data), p, lambda)
+      assert(dcm == pccdOn(data, p), s"lambda=$lambda")
+      assert(report.phases.map(_.name) == Vector("local", "merge") && report("merge").out == dcm.length, s"lambda=$lambda")
+      assert(report.pointsProcessed == data.totalPoints, s"lambda=$lambda: the partitions cluster every point")
     }
   }
 
   test("lambda larger than the dataset degenerates to a single partition") {
     val data = TestData.randomTiny(9, 6, 15)
     val p = Params(2, 3, TestData.GridEps)
-    val dcm = DCM.run(spark, TrajGen.toDF(spark, data), p, 1000)
-    assert(dcm.convoys == pccdOn(data, p))
+    val (dcm, _) = DCM.run(spark, TrajGen.toDF(spark, data), p, 1000)
+    assert(dcm == pccdOn(data, p))
   }
 
   test("a convoy crossing every partition boundary is reassembled") {
@@ -48,8 +50,8 @@ class DcmSpec extends SparkSpec {
     val triples = (0 until 20).flatMap(t => TestData.line(t, 0 -> 0.0, 1 -> 1.0, 5 -> (100.0 + 10 * t)))
     val data = TestData.fromTriples(triples)
     val p = Params(2, 10, 1.5)
-    val dcm = DCM.run(spark, TrajGen.toDF(spark, data), p, 4)
-    assert(dcm.convoys == Vector(repro.core.Convoy(repro.core.ObjSets.of(Seq(0, 1)), 0, 19)))
+    val (dcm, _) = DCM.run(spark, TrajGen.toDF(spark, data), p, 4)
+    assert(dcm == Vector(repro.core.Convoy(repro.core.ObjSets.of(Seq(0, 1)), 0, 19)))
   }
 
   test("DCM rejects lambda < 2") {

@@ -23,9 +23,9 @@ class SpareSpec extends SparkSpec {
     for (seed <- 1L to 6L) {
       val data = TestData.randomTiny(seed, 8, 25)
       val p = Params(2, 4, TestData.GridEps)
-      val spare = SPARE.run(spark, TrajGen.toDF(spark, data), p)
-      assert(spare.convoys == pccdOn(data, p), s"seed=$seed vs PCCD")
-      assert(spare.convoys == ConvoySets.sorted(BruteForce.maximalConvoys(data, p)), s"seed=$seed vs BF")
+      val (spare, _) = SPARE.run(spark, TrajGen.toDF(spark, data), p)
+      assert(spare == pccdOn(data, p), s"seed=$seed vs PCCD")
+      assert(spare == ConvoySets.sorted(BruteForce.maximalConvoys(data, p)), s"seed=$seed vs BF")
     }
   }
 
@@ -33,24 +33,27 @@ class SpareSpec extends SparkSpec {
     for (seed <- 10L to 13L) {
       val data = TestData.randomTiny(seed, 9, 20)
       val p = Params(3, 3, TestData.GridEps)
-      val spare = SPARE.run(spark, TrajGen.toDF(spark, data), p)
-      assert(spare.convoys == pccdOn(data, p), s"seed=$seed")
+      val (spare, _) = SPARE.run(spark, TrajGen.toDF(spark, data), p)
+      assert(spare == pccdOn(data, p), s"seed=$seed")
     }
   }
 
   test("SPARE finds the planted convoy on trucksLite") {
     val data = TrajGen.trucksLite(scale = 0.3)
     val p = Params(3, 40, 25.0)
-    val spare = SPARE.run(spark, TrajGen.toDF(spark, data), p)
-    assert(spare.convoys == pccdOn(data, p))
-    assert(spare.convoys.nonEmpty)
+    val (spare, report) = SPARE.run(spark, TrajGen.toDF(spark, data), p)
+    assert(spare == pccdOn(data, p))
+    assert(spare.nonEmpty)
+    assert(report.phases.map(ph => (ph.name, ph.out)) ==
+      Vector("stage1" -> data.byTime.map(pts => DBSCAN.cluster(pts, p.eps, p.m).length.toLong).sum, "stage2" -> spare.length.toLong))
+    assert(report.pointsProcessed == data.totalPoints, "stage 1 clusters every point")
   }
 
   test("SPARE on convoy-free data returns nothing") {
     val data = TrajGen.generate(TrajGen.Config(
       nObjects = 15, nTs = 30, groups = Seq.empty, world = 100000.0, seed = 31))
-    val spare = SPARE.run(spark, TrajGen.toDF(spark, data), Params(3, 5, 25.0))
-    assert(spare.convoys.isEmpty)
+    val (spare, _) = SPARE.run(spark, TrajGen.toDF(spark, data), Params(3, 5, 25.0))
+    assert(spare.isEmpty)
   }
 
   test("star enumerator: pairwise times within a star reconstruct whole-set convoys") {

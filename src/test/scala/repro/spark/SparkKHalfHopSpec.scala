@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.{SparkSpec, TestData}
-import repro.core.KHalfHop
+import repro.core.{KHalfHop, RunReport}
 import repro.core.KHalfHop.Params
 import repro.data.TrajGen
 import repro.store.MemStore
@@ -12,11 +12,13 @@ import repro.store.MemStore
 class SparkKHalfHopSpec extends SparkSpec {
 
   private def compare(data: repro.store.TrajData, p: Params): Unit = {
-    val (seq, _) = KHalfHop.run(new MemStore(data), p)
+    val (seq, seqReport) = KHalfHop.run(new MemStore(data), p)
     val df = TrajGen.toDF(spark, data)
-    val (dist, stats) = SparkKHalfHop.run(spark, df, p)
+    val (dist, report) = SparkKHalfHop.run(spark, df, p)
     assert(dist == seq, s"spark != sequential for $p")
-    assert(stats.totalPoints == data.totalPoints)
+    assert(report.pointsProcessed == seqReport.pointsProcessed, s"pointsProcessed for $p")
+    def outs(r: RunReport) = r.phases.map(ph => (ph.name, ph.out))
+    assert(outs(report) == outs(seqReport), s"phases for $p")
   }
 
   test("matches sequential k/2-hop on trucksLite across k") {
@@ -44,17 +46,17 @@ class SparkKHalfHopSpec extends SparkSpec {
     val data = TrajGen.generate(TrajGen.Config(
       nObjects = 20, nTs = 40, groups = Seq.empty, world = 100000.0, seed = 21))
     val df = TrajGen.toDF(spark, data)
-    val (convoys, stats) = SparkKHalfHop.run(spark, df, Params(3, 10, 25.0))
+    val (convoys, report) = SparkKHalfHop.run(spark, df, Params(3, 10, 25.0))
     assert(convoys.isEmpty)
-    // Pruning: only benchmark snapshots were read.
-    assert(stats.hwmtPointsRead == 0 || stats.hwmtPointsRead < stats.totalPoints / 2)
+    // Pruning: little beyond the benchmark snapshots was clustered.
+    assert(report.pointsProcessed < data.totalPoints / 2)
   }
 
   test("distributed pruning reads far less than the dataset on sparse convoy data") {
     val data = TrajGen.tdriveLite(scale = 0.15)
     val df = TrajGen.toDF(spark, data)
-    val (_, stats) = SparkKHalfHop.run(spark, df, Params(3, 60, 25.0))
-    assert(stats.pointsRead < stats.totalPoints / 2,
-      s"expected pruning, read ${stats.pointsRead} of ${stats.totalPoints}")
+    val (_, report) = SparkKHalfHop.run(spark, df, Params(3, 60, 25.0))
+    assert(report.pointsProcessed < data.totalPoints / 2,
+      s"expected pruning, clustered ${report.pointsProcessed} of ${data.totalPoints}")
   }
 }

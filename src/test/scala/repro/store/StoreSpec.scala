@@ -155,6 +155,11 @@ class StoreSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](TrajData(0, 0, Array(Array(Pt(1, 0, 0), Pt(1, 0, 0), Pt(2, 1, 0)))))
     assertThrows[IllegalArgumentException](TrajData(0, 0, Array(Array(Pt(2, 0, 0), Pt(1, 0, 0)))))
     assertThrows[IllegalArgumentException](TestData.fromTriples(Seq((0, 1, 0.0, 0.0), (0, 1, 0.0, 0.0))))
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      assertThrows[IllegalArgumentException](TrajData(0, 0, Array(Array(Pt(1, 0, 0), Pt(2, bad, 0)))))
+      assertThrows[IllegalArgumentException](TrajData(0, 0, Array(Array(Pt(1, 0, bad)))))
+      assertThrows[IllegalArgumentException](TestData.fromTriples(Seq((0, 1, 0.0, 0.0), (1, 2, bad, bad))))
+    }
   }
 
   test("TrajData.fromPoints restores contiguous timestamps and sorts by oid") {
