@@ -51,9 +51,9 @@ object HWMT {
     else Vector(ts, te) ++ treeOrder(ts + 1, te - 1)
 
   /** Re-cluster each candidate set at timestamp `t` with a single batched
-    * store read: the candidate sets are pairwise disjoint, so the union is
-    * fetched once and partitioned back by owner. Returns the per-candidate
-    * cluster lists.
+    * read: the candidate sets are pairwise disjoint, so the union is fetched
+    * once (and counted once) and each candidate clusters its own points of
+    * it. Returns the per-candidate cluster lists.
     */
   def reclusterAll(
       select: (Int, ObjSet) => Array[Pt],
@@ -64,19 +64,9 @@ object HWMT {
       counter: PointCounter,
   ): Vector[Vector[ObjSet]] = {
     if (cands.isEmpty) return Vector.empty
-    if (cands.length == 1) {
-      val pts = select(t, cands.head)
-      counter.add(pts.length)
-      return Vector(DBSCAN.cluster(pts, eps, m))
-    }
-    val union = ObjSets.of(cands.iterator.flatten)
-    val pts = select(t, union)
+    val pts = select(t, ObjSets.of(cands.iterator.flatten))
     counter.add(pts.length)
-    val owner = mutable.HashMap.empty[Int, Int]
-    cands.iterator.zipWithIndex.foreach { case (s, i) => s.foreach(o => owner.update(o, i)) }
-    val parts = Array.fill(cands.length)(Vector.newBuilder[Pt])
-    pts.foreach(p => owner.get(p.oid).foreach(i => parts(i) += p))
-    parts.iterator.map(b => DBSCAN.cluster(b.result().toArray, eps, m)).toVector
+    cands.map(c => DBSCAN.cluster(Pts.select(pts, c), eps, m))
   }
 
   /** Mine the spanning convoys of hop-window `(b1, b2)` from its candidate

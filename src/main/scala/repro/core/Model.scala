@@ -9,6 +9,34 @@ import scala.collection.mutable
   */
 final case class Pt(oid: Int, x: Double, y: Double)
 
+/** Lookups in point arrays sorted by strictly increasing oid (the order of
+  * every `TrajData` timestamp and every store answer).
+  */
+object Pts {
+
+  /** The points of `oids` in the oid-sorted `pts`, in oid order; objects
+    * absent from `pts` are skipped. One binary search per oid, each starting
+    * where the previous one ended.
+    */
+  def select(pts: Array[Pt], oids: ObjSets.ObjSet): Array[Pt] = {
+    val out = new Array[Pt](math.min(pts.length, oids.length))
+    var n = 0
+    var lo = 0
+    var i = 0
+    while (i < oids.length && lo < pts.length) {
+      val oid = oids(i)
+      var hi = pts.length
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (pts(mid).oid < oid) lo = mid + 1 else hi = mid
+      }
+      if (lo < pts.length && pts(lo).oid == oid) { out(n) = pts(lo); n += 1; lo += 1 }
+      i += 1
+    }
+    if (n == out.length) out else java.util.Arrays.copyOf(out, n)
+  }
+}
+
 /** Operations on object sets represented as sorted, deduplicated
   * `ArraySeq[Int]` — compact, structurally comparable, and fast to intersect
   * with a two-pointer sweep. All clusters and convoy memberships in the repo

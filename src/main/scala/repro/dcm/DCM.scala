@@ -36,8 +36,8 @@ object DCM {
 
     val frame = df.select($"oid", $"t", $"x", $"y")
     val bounds = frame.agg(min($"t"), max($"t")).head()
-    val tsMin = bounds.getInt(0)
-    val tsMax = bounds.getInt(1)
+    // An empty frame has null bounds: mine the empty range [0, -1].
+    val (tsMin, tsMax) = if (bounds.isNullAt(0)) (0, -1) else (bounds.getInt(0), bounds.getInt(1))
 
     // Local phase: per-partition snapshot clustering + PCCD partials.
     val partials = timer.phase("local") {

@@ -124,10 +124,7 @@ object Experiments {
     for (name <- DatasetNames) {
       val data = dataset(name, scales(name))
       val store = new MemStore(data)
-      val processed = grid.map { p =>
-        store.resetCounters()
-        KHalfHop.run(store, p)._2.pointsProcessed
-      }
+      val processed = grid.map(p => KHalfHop.run(store, p)._2.pointsProcessed)
       val total = data.totalPoints
       val minP = processed.min; val maxP = processed.max
       val minPrune = 100.0 * (total - maxP) / total

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core._
 import repro.core.KHalfHop.Params
-import repro.store.{MemStore, PointCache, TrajData}
+import repro.store.TrajData
 
 /** Spark-parallel k/2-hop (§7 future work, realized here per the repro
   * brief's distributed-dataflow mapping): the two data-heavy stages run as
@@ -20,9 +20,8 @@ import repro.store.{MemStore, PointCache, TrajData}
   *      hop-window mining tree per window in the executors. Hop-windows are
   *      mined independently, exactly the parallelism §4.3 points out.
   *   4. *Merge / extend / validate* — collect only the points of surviving
-  *      candidate objects (≪ the dataset after pruning) into an in-memory
-  *      store on the driver and run `KHalfHop.finish` on it, through the
-  *      same per-run `PointCache` as `KHalfHop.run`.
+  *      candidate objects (≪ the dataset after pruning) into a `TrajData`
+  *      on the driver and run `KHalfHop.finish` on its `select`.
   *
   * Benchmark points and candidate clusters come from `KHalfHop` too, so
   * this driver changes only where the points come from.
@@ -31,15 +30,15 @@ object SparkKHalfHop {
 
   /** `df` must have columns (oid INT, t INT, x DOUBLE, y DOUBLE). The report
     * has the phases and `pointsProcessed` of `KHalfHop.run`; the collection
-    * of candidate points to the driver is charged to `merge`.
+    * of candidate points to the driver is charged to `merge`. An empty frame
+    * is mined as the empty range `[0, -1]`, like `TrajData(0, -1, …)`.
     */
   def run(spark: SparkSession, df: DataFrame, p: Params): (Vector[Convoy], RunReport) = {
     import spark.implicits._
 
     val frame = df.select($"oid", $"t", $"x", $"y")
     val bounds = frame.agg(min($"t"), max($"t")).head()
-    val tsMin = bounds.getInt(0)
-    val tsMax = bounds.getInt(1)
+    val (tsMin, tsMax) = if (bounds.isNullAt(0)) (0, -1) else (bounds.getInt(0), bounds.getInt(1))
     val h = p.k / 2
     val bps = KHalfHop.benchmarkPoints(tsMin, tsMax, p.k)
     val counter = new PointCounter
@@ -86,9 +85,9 @@ object SparkKHalfHop {
         .groupByKey(_._1)
         .mapGroups { (win, rows) =>
           val b1 = bBps.value(win); val b2 = bBps.value(win + 1)
-          val store = new MemStore(TrajData.fromPoints(b1, b2, rows.map(r => (r._3, Pt(r._2, r._4, r._5))).toVector))
+          val window = TrajData.fromPoints(b1, b2, rows.map(r => (r._3, Pt(r._2, r._4, r._5))).toVector)
           val windowCounter = new PointCounter
-          val convoys = HWMT.mineWindow((t, objs) => store.select(t, objs), b1, b2, bCc.value(win), eps, m, windowCounter)
+          val convoys = HWMT.mineWindow(window.select, b1, b2, bCc.value(win), eps, m, windowCounter)
           (win, convoys.map(c => (c.objs.toSeq, c.ts, c.te)), windowCounter.n)
         }
         .collect()
@@ -103,17 +102,17 @@ object SparkKHalfHop {
     bWindowObjs.destroy(); bBps.destroy(); bCc.destroy()
 
     // Step 4: merge, then collect only the points of candidate objects.
-    val (vm, cache) = timer.phase("merge") {
+    val (vm, local) = timer.phase("merge") {
       val vm = Merge.mergeSpanning(spanning, p.m)
       val candObjs = vm.iterator.flatMap(_.objs).toSet
-      val local =
+      val rows =
         if (candObjs.isEmpty) Array.empty[(Int, Int, Double, Double)]
         else frame.filter($"oid".isin(candObjs.toSeq: _*)).as[(Int, Int, Double, Double)].collect()
-      (vm, new PointCache(new MemStore(TrajData.fromPoints(tsMin, tsMax, local.map(r => (r._2, Pt(r._1, r._3, r._4)))))))
+      (vm, TrajData.fromPoints(tsMin, tsMax, rows.map(r => (r._2, Pt(r._1, r._3, r._4)))))
     }(_._1.length)
 
     // Steps 5-6 on the pruned remainder.
-    val convoys = KHalfHop.finish(cache.select, tsMin, tsMax, vm, p, counter, timer)
+    val convoys = KHalfHop.finish(local.select, tsMin, tsMax, vm, p, counter, timer)
     (convoys, timer.report(counter.n))
   }
 }

@@ -3,7 +3,7 @@ package repro.store
 import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
 import java.nio.file.{Files, Path}
 
-import repro.core.{ObjSets, Pt}
+import repro.core.Pt
 import repro.core.ObjSets.ObjSet
 
 /** Flat-file storage (paper §5: "flat files are good for scans but are not
@@ -29,13 +29,9 @@ final class FileStore private (
   override def te: Int = data.te
   override def totalPoints: Long = data.totalPoints
 
-  override def snapshot(t: Int): Array[Pt] = {
-    val r = if (t < ts || t > te) Array.empty[Pt] else data.byTime(t - ts)
-    r
-  }
+  override def snapshot(t: Int): Array[Pt] = data.snapshot(t)
 
-  override def select(t: Int, oids: ObjSet): Array[Pt] =
-    snapshot(t).filter(p => ObjSets.contains(oids, p.oid))
+  override def select(t: Int, oids: ObjSet): Array[Pt] = data.select(t, oids)
 
   override def close(): Unit = if (deleteOnClose) Files.deleteIfExists(path)
 }

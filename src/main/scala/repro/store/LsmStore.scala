@@ -25,8 +25,7 @@ final class LsmStore private (
 
   override def snapshot(t: Int): Array[Pt] = {
     val rows = tree.range(key(t, Int.MinValue), key(t, Int.MaxValue))
-    reads += rows.length
-    rows.iterator.map { case (k, x, y) => Pt(oidOf(k), x, y) }.toArray
+    charge(rows.iterator.map { case (k, x, y) => Pt(oidOf(k), x, y) }.toArray)
   }
 
   override def select(t: Int, oids: ObjSet): Array[Pt] = {
@@ -34,8 +33,7 @@ final class LsmStore private (
     oids.foreach { oid =>
       tree.get(key(t, oid)).foreach { case (x, y) => out += Pt(oid, x, y) }
     }
-    reads += out.length
-    out.toArray
+    charge(out.toArray)
   }
 
   override def close(): Unit = tree.close()

@@ -3,7 +3,7 @@ package repro.store
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
-import repro.core.Pt
+import repro.core.{Pt, Pts}
 import repro.core.ObjSets.ObjSet
 
 /** Read-through cache over `store` for the lifetime of one mining run: each
@@ -47,7 +47,7 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
 
   override def select(t: Int, oids: ObjSet): Array[Pt] = {
     val all = snapshots.getOrNull(t)
-    if (all ne null) oids.iterator.map(find(all, _)).filter(_ ne null).toArray
+    if (all ne null) Pts.select(all, oids)
     else {
       val found = new Array[Pt](oids.length)
       var missing = 0
@@ -79,19 +79,6 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     }
     if (g != got.length)
       throw new IllegalStateException(s"select($t, ...) returned points out of oid order or not asked for")
-  }
-
-  /** The point of `oid` in the oid-sorted `pts`, or null. */
-  private def find(pts: Array[Pt], oid: Int): Pt = {
-    var lo = 0; var hi = pts.length - 1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      val o = pts(mid).oid
-      if (o == oid) return pts(mid)
-      else if (o < oid) lo = mid + 1
-      else hi = mid - 1
-    }
-    null
   }
 
   /** Reads through the cache are charged by the store itself. */

@@ -40,8 +40,7 @@ final class RdbmsStore private (
     val out = ArrayBuffer.empty[Pt]
     while (rs.next()) out += Pt(rs.getInt(1), rs.getDouble(2), rs.getDouble(3))
     rs.close()
-    reads += out.length
-    out.toArray
+    charge(out.toArray)
   }
 
   override def select(t: Int, oids: ObjSet): Array[Pt] = {

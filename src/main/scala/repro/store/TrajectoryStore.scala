@@ -1,6 +1,6 @@
 package repro.store
 
-import repro.core.Pt
+import repro.core.{Pt, Pts}
 import repro.core.ObjSets.ObjSet
 
 /** Storage substrate for trajectory data, matching §5 of the paper.
@@ -63,6 +63,12 @@ final case class TrajData(ts: Int, te: Int, byTime: Array[Array[Pt]]) {
   }
 
   def totalPoints: Long = byTime.foldLeft(0L)(_ + _.length)
+
+  /** All points at `t`, in oid order; empty outside `[ts, te]`. */
+  def snapshot(t: Int): Array[Pt] = if (t < ts || t > te) Array.empty[Pt] else byTime(t - ts)
+
+  /** The points of the sorted `oids` at `t`, in oid order. */
+  def select(t: Int, oids: ObjSet): Array[Pt] = Pts.select(snapshot(t), oids)
 
   /** Flat (t, point) iterator, useful for loading stores and Spark frames. */
   def iterator: Iterator[(Int, Pt)] =

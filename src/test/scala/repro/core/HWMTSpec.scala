@@ -151,4 +151,33 @@ class HWMTSpec extends AnyFunSuite {
     assert(res == Vector(Vector(ObjSets.of(Seq(0, 1))), Vector(ObjSets.of(Seq(5, 6)))))
     assert(counter.n == 5)
   }
+
+  test("reclusterAll with one candidate reads and clusters only its objects") {
+    val store = new MemStore(TestData.fromTriples(
+      TestData.line(0, 0 -> 0.0, 1 -> 1.0, 2 -> 2.0, 4 -> 3.0, 7 -> 50.0)))
+    val counter = new PointCounter
+    val res = HWMT.reclusterAll((t, o) => store.select(t, o), 0, Vector(ObjSets.of(Seq(0, 1, 2, 7))), 1.5, 2, counter)
+    assert(res == Vector(Vector(ObjSets.of(Seq(0, 1, 2)))))
+    assert(counter.n == 4)
+  }
+
+  test("reclusterAll gives no clusters to a candidate whose objects are all absent at t") {
+    val store = new MemStore(TestData.fromTriples(
+      TestData.line(0, 0 -> 0.0, 1 -> 1.0) ++ TestData.line(1, 0 -> 0.0, 1 -> 1.0, 5 -> 5.0, 6 -> 6.0)))
+    val counter = new PointCounter
+    val cands = Vector(ObjSets.of(Seq(0, 1)), ObjSets.of(Seq(5, 6)))
+    val res = HWMT.reclusterAll((t, o) => store.select(t, o), 0, cands, 1.5, 2, counter)
+    assert(res == Vector(Vector(ObjSets.of(Seq(0, 1))), Vector.empty))
+    assert(counter.n == 2)
+  }
+
+  test("reclusterAll partitions negative and extreme oids to their candidates") {
+    val store = new MemStore(TestData.fromTriples(
+      TestData.line(0, Int.MinValue -> 0.0, -5 -> 1.0, -3 -> 30.0, -2 -> 10.0, 3 -> 11.0, Int.MaxValue -> 12.0)))
+    val counter = new PointCounter
+    val cands = Vector(ObjSets.of(Seq(Int.MinValue, -5)), ObjSets.of(Seq(-2, 3, Int.MaxValue)))
+    val res = HWMT.reclusterAll((t, o) => store.select(t, o), 0, cands, 1.5, 2, counter)
+    assert(res == Vector(Vector(ObjSets.of(Seq(Int.MinValue, -5))), Vector(ObjSets.of(Seq(-2, 3, Int.MaxValue)))))
+    assert(counter.n == 5)
+  }
 }

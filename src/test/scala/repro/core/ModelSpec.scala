@@ -50,6 +50,27 @@ class ModelSpec extends AnyFunSuite {
     }
   }
 
+  test("Pts.select agrees with filtering by contains (200 random cases)") {
+    val rng = new Random(2)
+    val pool = Array(Int.MinValue, Int.MinValue + 1, -7, -1, 0, 1, 2, 5, 9, 40, Int.MaxValue - 1, Int.MaxValue)
+    def draw(): Int = if (rng.nextBoolean()) pool(rng.nextInt(pool.length)) else rng.nextInt(21) - 10
+    for (_ <- 1 to 200) {
+      // Strictly increasing oids, as in every TrajData timestamp.
+      val pts = ObjSets.of(List.fill(rng.nextInt(12))(draw())).map(o => Pt(o, o.toDouble, -o.toDouble)).toArray
+      val oids = ObjSets.of(List.fill(rng.nextInt(12))(draw()))
+      assert(Pts.select(pts, oids).toSeq == pts.filter(p => ObjSets.contains(oids, p.oid)).toSeq, s"${pts.toSeq} $oids")
+    }
+  }
+
+  test("Pts.select on empty inputs and absent oids") {
+    val pts = Array(Pt(Int.MinValue, 0, 0), Pt(-3, 1, 1), Pt(4, 2, 2), Pt(Int.MaxValue, 3, 3))
+    assert(Pts.select(Array.empty[Pt], os(1, 2)).isEmpty)
+    assert(Pts.select(pts, ObjSets.empty).isEmpty)
+    assert(Pts.select(pts, os(-4, 0, 5, Int.MaxValue - 1)).isEmpty)
+    assert(Pts.select(pts, os(Int.MinValue, Int.MaxValue)).toSeq == Seq(pts(0), pts(3)))
+    assert(Pts.select(pts, os(Int.MaxValue, -3, 7)).toSeq == Seq(pts(1), pts(3)))
+  }
+
   test("convoy len") {
     assert(Convoy(os(1, 2), 3, 7).len == 5)
     assert(Convoy(os(1, 2), 3, 3).len == 1)

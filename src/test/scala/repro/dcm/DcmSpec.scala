@@ -5,13 +5,14 @@ import repro.baseline.PCCD
 import repro.core.{ConvoySets, DBSCAN}
 import repro.core.KHalfHop.Params
 import repro.data.TrajGen
+import repro.store.TrajData
 
 /** DCM (temporal partitions + boundary merge) must equal the sequential
   * miner regardless of the partition length lambda.
   */
 class DcmSpec extends SparkSpec {
 
-  private def pccdOn(data: repro.store.TrajData, p: Params) = {
+  private def pccdOn(data: TrajData, p: Params) = {
     val clusters = data.byTime.zipWithIndex.map { case (pts, i) =>
       (data.ts + i) -> DBSCAN.cluster(pts, p.eps, p.m)
     }.toMap
@@ -52,6 +53,13 @@ class DcmSpec extends SparkSpec {
     val p = Params(2, 10, 1.5)
     val (dcm, _) = DCM.run(spark, TrajGen.toDF(spark, data), p, 4)
     assert(dcm == Vector(repro.core.Convoy(repro.core.ObjSets.of(Seq(0, 1)), 0, 19)))
+  }
+
+  test("DCM returns no convoys on an empty frame") {
+    val (dcm, report) = DCM.run(spark, TrajGen.toDF(spark, TrajData(0, -1, Array.empty)), Params(2, 3, 1.5), 4)
+    assert(dcm.isEmpty)
+    assert(report.phases.map(ph => (ph.name, ph.out)) == Vector("local" -> 0L, "merge" -> 0L))
+    assert(report.pointsProcessed == 0)
   }
 
   test("DCM rejects lambda < 2") {

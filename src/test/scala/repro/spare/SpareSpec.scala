@@ -5,6 +5,7 @@ import repro.baseline.{BruteForce, PCCD}
 import repro.core.{ConvoySets, DBSCAN, ObjSets}
 import repro.core.KHalfHop.Params
 import repro.data.TrajGen
+import repro.store.TrajData
 
 /** SPARE (stage 1 + star partitioning + apriori) must mine exactly the
   * maximal partially-connected convoys — the same semantics as PCCD and the
@@ -12,7 +13,7 @@ import repro.data.TrajGen
   */
 class SpareSpec extends SparkSpec {
 
-  private def pccdOn(data: repro.store.TrajData, p: Params) = {
+  private def pccdOn(data: TrajData, p: Params) = {
     val clusters = data.byTime.zipWithIndex.map { case (pts, i) =>
       (data.ts + i) -> DBSCAN.cluster(pts, p.eps, p.m)
     }.toMap
@@ -54,6 +55,13 @@ class SpareSpec extends SparkSpec {
       nObjects = 15, nTs = 30, groups = Seq.empty, world = 100000.0, seed = 31))
     val (spare, _) = SPARE.run(spark, TrajGen.toDF(spark, data), Params(3, 5, 25.0))
     assert(spare.isEmpty)
+  }
+
+  test("SPARE returns no convoys on an empty frame") {
+    val (spare, report) = SPARE.run(spark, TrajGen.toDF(spark, TrajData(0, -1, Array.empty)), Params(2, 3, 1.5))
+    assert(spare.isEmpty)
+    assert(report.phases.map(ph => (ph.name, ph.out)) == Vector("stage1" -> 0L, "stage2" -> 0L))
+    assert(report.pointsProcessed == 0)
   }
 
   test("star enumerator: pairwise times within a star reconstruct whole-set convoys") {

@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.core.KHalfHop
 import repro.data.TrajGen
 
 /** DuckDB cross-checks for every DataFrame/SQL-shaped step of the pipeline:
@@ -15,8 +16,9 @@ class OracleChecksSpec extends SparkSpec {
   private lazy val df = TrajGen.toDF(spark, data).cache()
 
   test("benchmark-point selection (t ≡ ts mod ⌊k/2⌋) matches DuckDB") {
-    val h = 10
-    val sel = df.filter((col("t") - data.ts) % h === 0)
+    // The driver's filter on the Spark side, Lemma 3's definition on DuckDB's.
+    val k = 20; val h = k / 2
+    val sel = df.filter(col("t").isin(KHalfHop.benchmarkPoints(data.ts, data.te, k): _*))
       .select(col("oid"), col("t"), col("x"), col("y"))
     Oracle.assertEquivalent(
       sel,
@@ -57,16 +59,15 @@ class OracleChecksSpec extends SparkSpec {
     )
   }
 
-  test("candidate-object pruning filter (oid IN set, window restriction) matches DuckDB") {
+  test("candidate-object collect filter (oid IN set) matches DuckDB") {
+    // The driver collects the candidate objects' points over all timestamps.
     val keep = Seq(0, 1, 2, 5, 8)
-    val lo = data.ts + 5; val hi = data.ts + 25
-    val pruned = df.filter(col("oid").isin(keep: _*) && col("t") > lo && col("t") < hi)
+    val pruned = df.filter(col("oid").isin(keep: _*))
       .select(col("oid"), col("t"), col("x"), col("y"))
     Oracle.assertEquivalent(
       pruned,
       s"""SELECT oid, t, CAST(x AS DOUBLE) AS x, CAST(y AS DOUBLE) AS y FROM traj
-         |WHERE CAST(oid AS INTEGER) IN (${keep.mkString(",")})
-         |  AND CAST(t AS INTEGER) > $lo AND CAST(t AS INTEGER) < $hi""".stripMargin,
+         |WHERE CAST(oid AS INTEGER) IN (${keep.mkString(",")})""".stripMargin,
       "traj" -> df,
     )
   }

@@ -4,14 +4,14 @@ import repro.{SparkSpec, TestData}
 import repro.core.{KHalfHop, RunReport}
 import repro.core.KHalfHop.Params
 import repro.data.TrajGen
-import repro.store.MemStore
+import repro.store.{MemStore, TrajData}
 
 /** The distributed k/2-hop must produce exactly the sequential results, and
   * its pruning behaviour must survive distribution.
   */
 class SparkKHalfHopSpec extends SparkSpec {
 
-  private def compare(data: repro.store.TrajData, p: Params): Unit = {
+  private def compare(data: TrajData, p: Params): Unit = {
     val (seq, seqReport) = KHalfHop.run(new MemStore(data), p)
     val df = TrajGen.toDF(spark, data)
     val (dist, report) = SparkKHalfHop.run(spark, df, p)
@@ -40,6 +40,10 @@ class SparkKHalfHopSpec extends SparkSpec {
 
   test("matches sequential on a convoy with an extreme or negative oid") {
     for (oid <- Seq(Int.MinValue, -5, 0)) compare(TestData.trio(oid), Params(3, 4, 1.5))
+  }
+
+  test("matches sequential on an empty frame") {
+    compare(TrajData(0, -1, Array.empty), Params(3, 4, 1.5))
   }
 
   test("empty result on convoy-free data") {
