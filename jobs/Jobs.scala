@@ -7,7 +7,7 @@ import repro.exp.Experiments
 /** Shared session builder for the spark-submit entrypoints. */
 private[jobs] object JobSession {
   def local(): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("k2hop-repro")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
