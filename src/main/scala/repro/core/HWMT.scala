@@ -33,12 +33,13 @@ object HWMT {
     val q = mutable.Queue((lo, hi))
     while (q.nonEmpty) {
       val (l, h) = q.dequeue()
-      if (l <= h) {
-        val mid = Math.floorDiv(l + h, 2)
-        out += mid
-        q.enqueue((l, mid - 1))
-        q.enqueue((mid + 1, h))
-      }
+      // In Long: `l + h` wraps for timestamps past about 1.07e9 (Unix seconds).
+      val mid = ((l.toLong + h) >> 1).toInt
+      out += mid
+      // Empty halves are not queued: `mid - 1` wraps at Int.MinValue and
+      // `mid + 1` at Int.MaxValue, which would turn them into the full range.
+      if (mid > l) q.enqueue((l, mid - 1))
+      if (mid < h) q.enqueue((mid + 1, h))
     }
     out.result()
   }

@@ -11,7 +11,8 @@ import scala.collection.mutable.ArrayBuffer
   * `LsmStore.key`, location `(x, y)` as the value.
   *
   *   - benchmark reads: one range scan `[(t,minOid) .. (t,maxOid)]` — the
-  *     timestamp's data is co-located, fetched with a single seek per run;
+  *     timestamp's data is co-located, so each run answers it with one
+  *     binary search of its memory mapping and one sequential read;
   *   - HWMT reads: one point `get` per (t, oid) pair.
   */
 final class LsmStore private (

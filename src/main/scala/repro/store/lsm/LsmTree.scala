@@ -12,9 +12,10 @@ import scala.jdk.CollectionConverters._
   * sorted run (`SSTable`) on disk; when more than `maxRuns` runs exist they
   * are compacted (size-tiered full merge, newest value wins per key).
   *
-  * Reads consult memtable → newest run → … → oldest run. Values are a pair
-  * of doubles (x, y); keys are arbitrary longs — the store layer encodes
-  * (t, oid) into them.
+  * Reads consult memtable → newest run → … → oldest run; each run is read
+  * through its own memory mapping (`SSTable`). Values are a pair of doubles
+  * (x, y); keys are arbitrary longs — the store layer encodes (t, oid) into
+  * them.
   */
 final class LsmTree(dir: Path, flushThreshold: Int = 128 * 1024, maxRuns: Int = 6)
     extends AutoCloseable {

@@ -48,11 +48,11 @@ object TestData {
   def fromTriples(triples: Seq[(Int, Int, Double, Double)]): TrajData =
     TrajData.fromPoints(triples.map { case (t, oid, x, y) => (t, Pt(oid, x, y)) })
 
-  /** Objects `oid`, 1 and 2 side by side (x = 0, 1, 2) at every t in 0..11:
-    * one convoy `({oid,1,2},[0,11])` at m=3, k=4, eps=1.5.
+  /** Objects `oid`, 1 and 2 side by side (x = 0, 1, 2) at every t in
+    * t0..t0+11: one convoy `({oid,1,2},[t0,t0+11])` at m=3, k=4, eps=1.5.
     */
-  def trio(oid: Int): TrajData =
-    fromTriples((0 to 11).flatMap(t => line(t, oid -> 0.0, 1 -> 1.0, 2 -> 2.0)))
+  def trio(oid: Int, t0: Int = 0): TrajData =
+    fromTriples((0 to 11).flatMap(t => line(t0 + t, oid -> 0.0, 1 -> 1.0, 2 -> 2.0)))
 
   /** Place objects on a line at timestamp `t`: object `oid` at x-position
     * `pos`, y = 0. Handy for 1-D scenario construction with eps = 1.5 and

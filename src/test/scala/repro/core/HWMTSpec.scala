@@ -27,6 +27,11 @@ class HWMTSpec extends AnyFunSuite {
       val order = HWMT.treeOrder(lo, hi)
       assert(order.sorted == (lo to hi).toVector, s"[$lo,$hi]")
     }
+    // Near both ends of Int and past 1.07e9, where `lo + hi` wraps.
+    for (base <- Seq(1200000000, Int.MaxValue - 10, Int.MinValue); (lo, hi) <- Seq((0, 0), (1, 2), (0, 10), (4, 8))) {
+      val order = HWMT.treeOrder(base + lo, base + hi)
+      assert(order == HWMT.treeOrder(lo, hi).map(_ + base), s"[$base+$lo,$base+$hi]")
+    }
   }
 
   test("treeOrder is level-ordered: parents before children") {

@@ -26,6 +26,11 @@ class LsmSpec extends AnyFunSuite {
       assert(t.get(4L).isEmpty)
       assert(t.get(10L).isEmpty)
     } finally t.delete()
+    val empty = SSTable.write(Files.createTempFile("sst", ".sst"), Iterator.empty)
+    try {
+      assert(empty.get(0L).isEmpty && empty.get(Long.MinValue).isEmpty && empty.get(Long.MaxValue).isEmpty)
+      assert(empty.lowerBound(0L) == 0 && empty.range(Long.MinValue, Long.MaxValue).isEmpty && empty.all.isEmpty)
+    } finally empty.delete()
   }
 
   test("SSTable rejects unsorted input") {
@@ -48,9 +53,9 @@ class LsmSpec extends AnyFunSuite {
     } finally t.delete()
   }
 
-  test("SSTable lowerBound across fence boundaries (big run)") {
+  test("SSTable lowerBound on a big run") {
     val path = Files.createTempFile("sst", ".sst")
-    val n = 5000L // > FenceStride so multiple fences exist
+    val n = 5000L // keys 0, 2, …, 9998, so every odd probe falls between two records
     val t = SSTable.write(path, (0L until n).iterator.map(k => (k * 2, 0.0, 0.0)))
     try {
       assert(t.lowerBound(0) == 0)

@@ -142,11 +142,13 @@ class StoreSpec extends AnyFunSuite {
   }
 
   test("k/2-hop finds the same convoy on every store with an extreme or negative oid") {
-    for (oid <- Seq(Int.MinValue, -5)) {
-      val trio = TestData.trio(oid)
-      val want = Vector(Convoy(ObjSets.of(Seq(oid, 1, 2)), 0, 11))
+    // Timestamps from 1.2e9 (Unix seconds) and from Int.MinValue: the LSM key
+    // of (Int.MinValue, Int.MinValue) is Long.MinValue.
+    for (oid <- Seq(Int.MinValue, -5); t0 <- Seq(0, 1200000000, Int.MinValue)) {
+      val trio = TestData.trio(oid, t0)
+      val want = Vector(Convoy(ObjSets.of(Seq(oid, 1, 2)), t0, t0 + 11))
       withStores(trio) { (name, s) =>
-        assert(KHalfHop.run(s, KHalfHop.Params(3, 4, 1.5))._1 == want, s"$name, oid $oid")
+        assert(KHalfHop.run(s, KHalfHop.Params(3, 4, 1.5))._1 == want, s"$name, oid $oid, t0 $t0")
       }
     }
   }
