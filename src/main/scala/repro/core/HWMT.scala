@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 import ObjSets.ObjSet
 
 /** Mutable counter for the "points processed" pruning statistic (Table 5):
@@ -24,25 +22,35 @@ final class PointCounter {
   */
 object HWMT {
 
+  /** The levels of the HWMT over the integer range [lo, hi]: the midpoint,
+    * then the midpoints of the two halves, and so on, each level
+    * left-to-right — the node sequence of Figure 4, split by tree depth.
+    */
+  def treeLevels(lo: Int, hi: Int): Vector[Vector[Int]] = {
+    val levels = Vector.newBuilder[Vector[Int]]
+    var ranges = if (lo > hi) Vector.empty[(Int, Int)] else Vector((lo, hi))
+    while (ranges.nonEmpty) {
+      val level = Vector.newBuilder[Int]
+      val next = Vector.newBuilder[(Int, Int)]
+      ranges.foreach { case (l, h) =>
+        // In Long: `l + h` wraps for timestamps past about 1.07e9 (Unix seconds).
+        val mid = ((l.toLong + h) >> 1).toInt
+        level += mid
+        // Empty halves are dropped: `mid - 1` wraps at Int.MinValue and
+        // `mid + 1` at Int.MaxValue, which would turn them into the full range.
+        if (mid > l) next += ((l, mid - 1))
+        if (mid < h) next += ((mid + 1, h))
+      }
+      levels += level.result()
+      ranges = next.result()
+    }
+    levels.result()
+  }
+
   /** Level-order (midpoint-first, left-to-right within a level) traversal of
     * the integer range [lo, hi] — the HWMT node sequence of Figure 4.
     */
-  def treeOrder(lo: Int, hi: Int): Vector[Int] = {
-    if (lo > hi) return Vector.empty
-    val out = Vector.newBuilder[Int]
-    val q = mutable.Queue((lo, hi))
-    while (q.nonEmpty) {
-      val (l, h) = q.dequeue()
-      // In Long: `l + h` wraps for timestamps past about 1.07e9 (Unix seconds).
-      val mid = ((l.toLong + h) >> 1).toInt
-      out += mid
-      // Empty halves are not queued: `mid - 1` wraps at Int.MinValue and
-      // `mid + 1` at Int.MaxValue, which would turn them into the full range.
-      if (mid > l) q.enqueue((l, mid - 1))
-      if (mid < h) q.enqueue((mid + 1, h))
-    }
-    out.result()
-  }
+  def treeOrder(lo: Int, hi: Int): Vector[Int] = treeLevels(lo, hi).flatten
 
   /** HWMT* probe order used during validation (§4.6): the extremes of the
     * candidate's lifespan first, then the interior in tree order.
@@ -72,7 +80,8 @@ object HWMT {
 
   /** Mine the spanning convoys of hop-window `(b1, b2)` from its candidate
     * cluster set `cc`. Interior timestamps only — the candidates already
-    * reflect the clusterings at `b1` and `b2`.
+    * reflect the clusterings at `b1` and `b2`. [[mineWindows]] for one
+    * window, with nothing to prefetch.
     */
   def mineWindow(
       select: (Int, ObjSet) => Array[Pt],
@@ -82,15 +91,50 @@ object HWMT {
       eps: Double,
       m: Int,
       counter: PointCounter,
-  ): Vector[Convoy] = {
-    var cands = cc
-    val order = treeOrder(b1 + 1, b2 - 1)
-    var oi = 0
-    while (oi < order.length && cands.nonEmpty) {
-      val t = order(oi)
-      cands = reclusterAll(select, t, cands, eps, m, counter).flatten
-      oi += 1
+  ): Vector[Convoy] = mineWindows(select, _ => (), Vector(b1, b2), Vector(cc), eps, m, counter).head
+
+  /** [[mineWindow]] for every hop-window `(bps(i), bps(i + 1))` with
+    * candidates `cc(i)`, run one tree level at a time across the windows.
+    * Before each level, `prefetch` is handed every `(t, union of the
+    * window's live candidates)` of that level, so a store can answer the
+    * whole level in one call; each window then re-clusters the level's
+    * timestamps through `select` in tree order. A window stops at the
+    * timestamp where its last candidate dies, so the convoys and the points
+    * fed to DBSCAN are exactly those of each window mined alone.
+    */
+  def mineWindows(
+      select: (Int, ObjSet) => Array[Pt],
+      prefetch: Seq[(Int, ObjSet)] => Unit,
+      bps: Vector[Int],
+      cc: Vector[Vector[ObjSet]],
+      eps: Double,
+      m: Int,
+      counter: PointCounter,
+  ): Vector[Vector[Convoy]] = {
+    // An empty dataset has no benchmark point, and so no hop-window.
+    require(cc.isEmpty || bps.length == cc.length + 1, "one candidate set per hop-window")
+    val cands = cc.toArray
+    val levels = cc.indices.map(i => if (cc(i).isEmpty) Vector.empty else treeLevels(bps(i) + 1, bps(i + 1) - 1))
+    val depth = levels.iterator.map(_.length).maxOption.getOrElse(0)
+    var d = 0
+    while (d < depth) {
+      val reqs = Vector.newBuilder[(Int, ObjSet)]
+      for (i <- cands.indices if d < levels(i).length && cands(i).nonEmpty) {
+        val union = ObjSets.of(cands(i).iterator.flatten)
+        levels(i)(d).foreach(t => reqs += ((t, union)))
+      }
+      val batch = reqs.result()
+      if (batch.nonEmpty) prefetch(batch)
+      for (i <- cands.indices if d < levels(i).length) {
+        val level = levels(i)(d)
+        var li = 0
+        while (li < level.length && cands(i).nonEmpty) {
+          cands(i) = reclusterAll(select, level(li), cands(i), eps, m, counter).flatten
+          li += 1
+        }
+      }
+      d += 1
     }
-    cands.map(o => Convoy(o, b1, b2))
+    cands.indices.toVector.map(i => cands(i).map(o => Convoy(o, bps(i), bps(i + 1))))
   }
 }

@@ -156,13 +156,10 @@ object KHalfHop {
     // Step 2: candidate clusters per hop-window.
     val cc = timer.phase("cc")(candidates(benchClusters, p.m))(totalSize)
 
-    // Step 3: HWMT — 1st-order spanning convoys per hop-window.
-    val spanning = timer.phase("hwmt") {
-      cc.zipWithIndex.map { case (sets, i) =>
-        if (sets.isEmpty) Vector.empty[Convoy]
-        else HWMT.mineWindow(select, bps(i), bps(i + 1), sets, p.eps, p.m, counter)
-      }
-    }(totalSize)
+    // Step 3: HWMT — 1st-order spanning convoys per hop-window, one tree
+    // level at a time across the windows, each level read in one store call.
+    val spanning =
+      timer.phase("hwmt")(HWMT.mineWindows(select, cache.prefetch, bps, cc, p.eps, p.m, counter))(totalSize)
 
     // Step 4: merge into maximal spanning convoys.
     val vm = timer.phase("merge")(Merge.mergeSpanning(spanning, p.m))(_.length)

@@ -211,7 +211,7 @@ object Experiments {
       for (k <- ks) {
         val p = DefaultParams.copy(k = k)
         val (_, report) = KHalfHop.run(store, p)
-        emit(sb, f"RESULT|F8i|$name%-10s|k=$k%-4d|" + report.phases.map(ph => f"${ph.name}=${ph.us / 1000}%5d").mkString("|"))
+        emit(sb, f"RESULT|F8i|$name%-10s|k=$k%-4d|" + report.phases.map(ph => f"${ph.name}=${ph.us}%7dus").mkString("|"))
         val vcoda = runVCoDA(data, p, indexed = true)
         emit(sb, f"RESULT|F8j|$name%-10s|k=$k%-4d|k2-preval=${report.preValidationConvoys}%4d|" +
           f"vcoda-preval=${vcoda.preValidationConvoys}%4d")

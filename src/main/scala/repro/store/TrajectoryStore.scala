@@ -8,7 +8,8 @@ import repro.core.ObjSets.ObjSet
   * k/2-hop needs exactly two access paths:
   *   1. `snapshot(t)` — full scan of one timestamp (benchmark points);
   *   2. `select(t, oids)` — point access by (timestamp, object id)
-  *      (HWMT re-clustering, extension, validation).
+  *      (HWMT re-clustering, extension, validation); `selectMany` asks for
+  *      many `(t, oids)` at once (one HWMT tree level across hop-windows).
   *
   * Implementations also maintain I/O counters so benches can report the
   * storage-level cost alongside the algorithm-level "points processed"
@@ -32,6 +33,12 @@ trait TrajectoryStore extends AutoCloseable {
     * sorted. [[PointCache]] relies on this order.
     */
   def select(t: Int, oids: ObjSet): Array[Pt]
+
+  /** One `select` answer per request, in request order. Stores with a
+    * costly round trip answer all requests at once; by default each is its
+    * own `select`.
+    */
+  def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = reqs.map { case (t, oids) => select(t, oids) }
 
   /** Number of points materialized from storage since the last reset. */
   def pointsRead: Long

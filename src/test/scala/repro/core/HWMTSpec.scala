@@ -39,6 +39,19 @@ class HWMTSpec extends AnyFunSuite {
     assert(HWMT.treeOrder(1, 15) == Vector(8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15))
   }
 
+  test("treeLevels splits treeOrder by tree depth") {
+    assert(HWMT.treeLevels(1, 15) == Vector(Vector(8), Vector(4, 12), Vector(2, 6, 10, 14), Vector(1, 3, 5, 7, 9, 11, 13, 15)))
+    assert(HWMT.treeLevels(3, 2).isEmpty)
+    // The interior of a k=20 hop-window has 4 levels, of a k=40 one 5.
+    assert(HWMT.treeLevels(1, 9).length == 4 && HWMT.treeLevels(1, 19).length == 5)
+    for (base <- Seq(0, -3, 1200000000, Int.MaxValue - 10, Int.MinValue); (lo, hi) <- Seq((0, 0), (1, 2), (0, 10), (4, 8))) {
+      val levels = HWMT.treeLevels(base + lo, base + hi)
+      assert(levels.flatten == HWMT.treeOrder(base + lo, base + hi), s"[$base+$lo,$base+$hi]")
+      assert(levels.flatten.sorted == (base + lo to base + hi).toVector, s"[$base+$lo,$base+$hi]")
+      assert(levels.zipWithIndex.forall { case (l, d) => l.nonEmpty && l.length <= (1 << d) }, s"[$base+$lo,$base+$hi]")
+    }
+  }
+
   test("starOrder probes extremes first") {
     val o = HWMT.starOrder(1, 6)
     assert(o.take(2) == Vector(1, 6))
@@ -145,6 +158,39 @@ class HWMTSpec extends AnyFunSuite {
     val counter = new PointCounter
     val res = HWMT.mineWindow((t, o) => store.select(t, o), 0, 8, Vector(ObjSets.of(Seq(0, 1, 2, 3))), 1.5, 2, counter)
     assert(res.toSet == Set(Convoy(ObjSets.of(Seq(0, 1)), 0, 8), Convoy(ObjSets.of(Seq(2, 3)), 0, 8)))
+  }
+
+  /** Algorithm 2 for one hop-window, written out over `treeOrder`: the
+    * reference that `mineWindows` (and `mineWindow`, its one-window case)
+    * must match.
+    */
+  private def perWindow(select: (Int, ObjSets.ObjSet) => Array[Pt], b1: Int, b2: Int, cc: Vector[ObjSets.ObjSet],
+                        eps: Double, m: Int, counter: PointCounter): Vector[Convoy] = {
+    var cands = cc
+    val order = HWMT.treeOrder(b1 + 1, b2 - 1).iterator
+    while (order.hasNext && cands.nonEmpty) cands = HWMT.reclusterAll(select, order.next(), cands, eps, m, counter).flatten
+    cands.map(o => Convoy(o, b1, b2))
+  }
+
+  test("mineWindows mines the same spanning convoys and points as one tree-order pass per hop-window") {
+    for (seed <- 1L to 12L; k <- Seq(2, 3, 6, 9, 16)) {
+      val data = TestData.randomTiny(seed, 10, 40)
+      val store = new MemStore(data)
+      val p = KHalfHop.Params(2, k, TestData.GridEps)
+      val bps = KHalfHop.benchmarkPoints(data.ts, data.te, k)
+      val cc = KHalfHop.candidates(bps.map(b => DBSCAN.cluster(data.snapshot(b), p.eps, p.m)), p.m)
+      val (all, single, each) = (new PointCounter, new PointCounter, new PointCounter)
+      val prefetched = Vector.newBuilder[Seq[(Int, ObjSets.ObjSet)]]
+      val got = HWMT.mineWindows(store.select, prefetched += _, bps, cc, p.eps, p.m, all)
+      val want = cc.indices.toVector.map(i => perWindow(store.select, bps(i), bps(i + 1), cc(i), p.eps, p.m, each))
+      val alone = cc.indices.toVector.map(i => HWMT.mineWindow(store.select, bps(i), bps(i + 1), cc(i), p.eps, p.m, single))
+      assert(got == want && alone == want, s"seed $seed, k $k")
+      assert(all.n == each.n && single.n == each.n, s"seed $seed, k $k")
+      assert(prefetched.result().length <= HWMT.treeLevels(1, k / 2 - 1).length, s"seed $seed, k $k")
+    }
+    // No benchmark point (an empty dataset), or one: no hop-window.
+    for (bps <- Seq(Vector.empty[Int], Vector(7)))
+      assert(HWMT.mineWindows((_, _) => Array.empty[Pt], _ => fail("prefetch"), bps, Vector.empty, 1.5, 2, new PointCounter).isEmpty)
   }
 
   test("reclusterAll partitions a batched read back to its owning candidates") {

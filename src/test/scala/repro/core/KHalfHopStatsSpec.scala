@@ -91,7 +91,7 @@ class KHalfHopStatsSpec extends AnyFunSuite {
       val counter = new PointCounter
       val bps = KHalfHop.benchmarkPoints(data.ts, data.te, p.k)
       val cc = KHalfHop.candidates(bps.map(b => DBSCAN.cluster(cache.snapshot(b), p.eps, p.m)), p.m)
-      val spanning = cc.indices.toVector.map(i => HWMT.mineWindow(cache.select, bps(i), bps(i + 1), cc(i), p.eps, p.m, counter))
+      val spanning = HWMT.mineWindows(cache.select, cache.prefetch, bps, cc, p.eps, p.m, counter)
       val acc = mutable.ArrayBuffer.empty[Convoy]
       Merge.mergeSpanning(spanning, p.m).foreach(v =>
         Extend.extendOne(cache.select, v, data.te, forward = true, p.eps, p.m, counter, acc))
@@ -101,6 +101,29 @@ class KHalfHopStatsSpec extends AnyFunSuite {
       val calls = recorder.calls.length
       Validate.fullyConnected(ConvoySets.maximal(acc.filter(_.len >= p.k)), cache.select, p.eps, p.m, p.k, counter)
       assert(recorder.calls.length == calls, s"validation read the store for $p")
+    }
+  }
+
+  test("HWMT reads each tree level in one batched store call, with no per-window select") {
+    val cases = Seq(20, 40).map(k => (TrajGen.trucksLite(scale = 0.3), Params(3, k, 25.0))) ++
+      (for (seed <- 1L to 10L; p <- Seq(Params(2, 8, TestData.GridEps), Params(2, 3, TestData.GridEps)))
+        yield (TestData.randomTiny(seed, 8, 30), p))
+    for ((data, p) <- cases) {
+      val levels = HWMT.treeLevels(1, p.k / 2 - 1).length
+      // The HWMT phase alone, on the run's cache after its benchmark snapshots.
+      val recorder = new RecordingStore(new MemStore(data))
+      val cache = new PointCache(recorder)
+      val bps = KHalfHop.benchmarkPoints(data.ts, data.te, p.k)
+      val cc = KHalfHop.candidates(bps.map(b => DBSCAN.cluster(cache.snapshot(b), p.eps, p.m)), p.m)
+      val snapshots = recorder.calls.length
+      val spanning = HWMT.mineWindows(cache.select, cache.prefetch, bps, cc, p.eps, p.m, new PointCounter)
+      assert(recorder.calls.length == snapshots, s"HWMT made a per-window select for $p")
+      assert(recorder.batches.length <= levels, s"${recorder.batches.length} batched calls for $levels levels, $p")
+      // The whole run issues exactly those batches and finds the same spanning convoys.
+      val runRecorder = new RecordingStore(new MemStore(data))
+      val (_, report) = KHalfHop.run(runRecorder, p)
+      assert(runRecorder.batches == recorder.batches, s"$p")
+      assert(report.spanningConvoys == spanning.iterator.map(_.length).sum, s"$p")
     }
   }
 

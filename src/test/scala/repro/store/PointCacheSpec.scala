@@ -77,6 +77,34 @@ class PointCacheSpec extends AnyFunSuite {
     }
   }
 
+  test("random prefetch/select sequences: a prefetch fetches the uncovered oids in one call, and selects of them make none") {
+    for (seed <- 1 to 4) {
+      val rng = new Random(100 + seed)
+      val data = randomData(rng)
+      def someOids = ObjSets.of(oidPool.filter(_ => rng.nextInt(3) == 0))
+      val ops = Vector.fill(30)(Vector.fill(1 + rng.nextInt(3))((Ts - 1 + rng.nextInt(Te - Ts + 3), someOids)))
+      val opened = stores(data)
+      try opened.foreach { case (name, store) =>
+        val recorder = new RecordingStore(store)
+        val cache = new PointCache(recorder)
+        val covered = mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
+        ops.zipWithIndex.foreach { case (reqs, i) =>
+          val ctx = s"$name seed $seed op $i prefetch($reqs)"
+          val asked = reqs.map { case (t, oids) => (t, oids.filterNot(covered(t))) }.filter(_._2.nonEmpty)
+          val before = recorder.batches.length
+          cache.prefetch(reqs)
+          assert(recorder.batches.drop(before).toSeq == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
+          reqs.foreach { case (t, oids) => covered(t) ++= oids }
+          reqs.foreach { case (t, oids) =>
+            assert(cache.select(t, oids).toSeq == data.select(t, oids).toSeq, s"$ctx, select($t, $oids)")
+          }
+          assert(recorder.calls.isEmpty, ctx)
+        }
+      }
+      finally opened.foreach(_._2.close())
+    }
+  }
+
   private val data = TrajData(0, 1, Array(
     Array(Pt(Int.MinValue, 0, 0), Pt(-5, 1, 0), Pt(3, 2, 0)),
     Array(Pt(Int.MinValue, 0, 1), Pt(3, 2, 1), Pt(Int.MaxValue, 4, 1)),
@@ -102,6 +130,34 @@ class PointCacheSpec extends AnyFunSuite {
     assert(cache.select(0, os(Int.MinValue, 3, 7)).toSeq == Seq(Pt(Int.MinValue, 0, 0), Pt(3, 2, 0)))
     assert(cache.snapshot(0).length == 3)
     assert(recorder.calls.toSeq == Seq(Call(0, None)))
+  }
+
+  test("a select after a prefetch makes no store call, and objects absent at t stay absent") {
+    val recorder = new RecordingStore(new MemStore(data))
+    val cache = new PointCache(recorder)
+    cache.prefetch(Seq((0, os(Int.MinValue, 3, 7)), (1, os(-5, 3, Int.MaxValue)), (5, os(1))))
+    assert(recorder.batches.toSeq == Seq(Seq((0, os(Int.MinValue, 3, 7)), (1, os(-5, 3, Int.MaxValue)), (5, os(1)))))
+    assert(cache.select(0, os(Int.MinValue, 3, 7)).toSeq == Seq(Pt(Int.MinValue, 0, 0), Pt(3, 2, 0)))
+    assert(cache.select(1, os(-5, Int.MaxValue)).toSeq == Seq(Pt(Int.MaxValue, 4, 1)))
+    assert(cache.select(5, os(1)).isEmpty)
+    assert(recorder.calls.isEmpty)
+    // Covered requests are dropped; the rest ask only for their uncovered oids.
+    cache.prefetch(Seq((0, os(Int.MinValue, 7)), (1, os(-5)), (5, os(1))))
+    assert(recorder.batches.length == 1)
+    cache.prefetch(Seq((0, os(-5, 3)), (1, os(Int.MinValue, 3))))
+    assert(recorder.batches.last == Seq((0, os(-5)), (1, os(Int.MinValue))))
+    // A snapshot covers its timestamp for prefetches too.
+    assert(cache.snapshot(1).length == 3)
+    cache.prefetch(Seq((1, os(0, 1, 2))))
+    assert(recorder.batches.length == 2)
+    assert(cache.pointsRead == 4 + 2 + 3)
+  }
+
+  test("a selectMany answer out of oid order fails loudly") {
+    val reversed = new RecordingStore(new MemStore(data)) {
+      override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = super.selectMany(reqs).map(_.reverse)
+    }
+    assertThrows[IllegalStateException](new PointCache(reversed).prefetch(Seq((1, os(-5, 3)), (0, os(Int.MinValue, -5, 3)))))
   }
 
   test("a store answer out of oid order fails loudly") {

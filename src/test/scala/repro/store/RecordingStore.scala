@@ -6,12 +6,14 @@ import repro.core.Pt
 import repro.core.ObjSets.ObjSet
 
 /** Test decorator that records every call it forwards to `underlying` and
-  * every `(t, oid)` the underlying store returned.
+  * every `(t, oid)` the underlying store returned. A `selectMany` is one
+  * entry of `batches`, not one `calls` entry per request.
   */
 class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
   import RecordingStore.Call
 
   val calls = mutable.ArrayBuffer.empty[Call]
+  val batches = mutable.ArrayBuffer.empty[Seq[(Int, ObjSet)]]
   val returned = mutable.ArrayBuffer.empty[(Int, Int)]
 
   override def ts: Int = underlying.ts
@@ -21,6 +23,13 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
   override def snapshot(t: Int): Array[Pt] = record(Call(t, None), underlying.snapshot(t))
 
   override def select(t: Int, oids: ObjSet): Array[Pt] = record(Call(t, Some(oids)), underlying.select(t, oids))
+
+  override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = {
+    batches += reqs
+    val got = underlying.selectMany(reqs)
+    reqs.lazyZip(got).foreach { case ((t, _), pts) => returned ++= pts.iterator.map(p => (t, p.oid)) }
+    got
+  }
 
   private def record(c: Call, pts: Array[Pt]): Array[Pt] = {
     calls += c

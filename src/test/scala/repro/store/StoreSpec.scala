@@ -81,6 +81,32 @@ class StoreSpec extends AnyFunSuite {
     }
   }
 
+  test("selectMany answers as one select per request on every store, over several batches in a row") {
+    val all = Seq(Int.MinValue, -70000, -5, -1, 0, 2, 64, 130, 70000, Int.MaxValue)
+    val fixed = Seq(
+      Seq(0 -> Seq(Int.MinValue, -5, 0, 64, Int.MaxValue), 1 -> Seq(-70000, -1, 2, 130, 70000), 2 -> Nil, 3 -> Seq(Int.MaxValue)),
+      Seq(-1 -> Seq(0, 2), 4 -> Seq(-5), 3 -> all),
+      Seq(1 -> Seq(-1, 0), 0 -> Seq(-1, 0)),
+      Nil,
+      Seq(2 -> Nil),
+      Seq(Int.MinValue -> Seq(Int.MinValue), Int.MaxValue -> Seq(Int.MaxValue), 0 -> Seq(2, 12345)),
+    )
+    // Each batch asks for different keys than the one before: a store that
+    // answered from the previous batch's keys would fail here.
+    val rng = new scala.util.Random(5)
+    val random = Seq.fill(12)(Seq.fill(1 + rng.nextInt(4))((rng.nextInt(6) - 1) -> all.filter(_ => rng.nextBoolean())))
+    withStores(signed) { (name, s) =>
+      for ((batch, i) <- (fixed ++ random).zipWithIndex) {
+        val reqs = batch.map { case (t, oids) => (t, ObjSets.of(oids)) }
+        s.resetCounters()
+        val got = s.selectMany(reqs)
+        val ctx = s"$name batch $i: $reqs"
+        assert(got.map(_.toSeq) == reqs.map { case (t, oids) => signed.select(t, oids).toSeq }, ctx)
+        if (name != "file") assert(s.pointsRead == got.map(_.length).sum, ctx)
+      }
+    }
+  }
+
   test("select outside the time range is empty") {
     withStores(data) { (name, s) =>
       assert(s.select(data.te + 10, ObjSets.of(Seq(1))).isEmpty, name)
