@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{Convoy, ConvoySets, DBSCAN, PhaseTimer, PointCounter, RunReport, Validate}
+import repro.core.{Convoy, ConvoySets, PhaseTimer, PointCounter, RunReport, Validate}
 import repro.core.KHalfHop.Params
 import repro.core.ObjSets.ObjSet
 import repro.store.TrajectoryStore
@@ -29,11 +29,7 @@ object VCoDA {
 
     val range = store.ts to store.te
     val clusters: Map[Int, Vector[ObjSet]] = timer.phase("cluster") {
-      range.iterator.map { t =>
-        val pts = store.snapshot(t)
-        counter.add(pts.length)
-        t -> DBSCAN.cluster(pts, p.eps, p.m, indexed = indexed)
-      }.toMap
+      range.iterator.map(t => t -> counter.cluster(store.snapshot(t), p.eps, p.m, indexed)).toMap
     }(_.valuesIterator.map(_.length.toLong).sum)
 
     val maximal = timer.phase("mine")(PCCD.maximalConvoys(range, clusters, p.m, p.k))(_.length)

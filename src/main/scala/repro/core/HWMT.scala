@@ -8,6 +8,12 @@ import ObjSets.ObjSet
 final class PointCounter {
   var n: Long = 0L
   def add(k: Long): Unit = n += k
+
+  /** Count `pts`, then cluster them: the one place a run counts its DBSCAN input. */
+  def cluster(pts: Array[Pt], eps: Double, m: Int, indexed: Boolean = true): Vector[ObjSet] = {
+    add(pts.length)
+    DBSCAN.cluster(pts, eps, m, indexed)
+  }
 }
 
 /** Hop-Window Mining Tree (Algorithm 2).
@@ -61,8 +67,8 @@ object HWMT {
 
   /** Re-cluster each candidate set at timestamp `t` with a single batched
     * read: the candidate sets are pairwise disjoint, so the union is fetched
-    * once (and counted once) and each candidate clusters its own points of
-    * it. Returns the per-candidate cluster lists.
+    * once and each candidate clusters (and counts) its own points of it.
+    * Returns the per-candidate cluster lists.
     */
   def reclusterAll(
       select: (Int, ObjSet) => Array[Pt],
@@ -74,8 +80,7 @@ object HWMT {
   ): Vector[Vector[ObjSet]] = {
     if (cands.isEmpty) return Vector.empty
     val pts = select(t, ObjSets.of(cands.iterator.flatten))
-    counter.add(pts.length)
-    cands.map(c => DBSCAN.cluster(Pts.select(pts, c), eps, m))
+    cands.map(c => counter.cluster(Pts.select(pts, c), eps, m))
   }
 
   /** Mine the spanning convoys of hop-window `(b1, b2)` from its candidate

@@ -15,12 +15,12 @@ import repro.store.{PointCache, TrajectoryStore}
   * Pipeline: benchmark clustering → candidate clusters → HWMT per
   * hop-window → DCM merge → right/left extension → FC validation, reported
   * as the [[RunReport]] phases `bench, cc, hwmt, merge, extR, extL, val`
-  * together with the points fed to DBSCAN (Table 5). Every read goes through one per-run
-  * [[repro.store.PointCache]], so each `(t, oid)` is fetched from the store
-  * at most once: extension and validation re-cluster points that the
-  * benchmark step and HWMT already read. The Spark driver
-  * (`repro.spark.SparkKHalfHop`) reuses the benchmark-point, candidate and
-  * finish stages below and only changes where the points come from.
+  * together with the points fed to DBSCAN (Table 5). [[mine]] is its one
+  * body; the sequential [[run]] and the Spark driver
+  * (`repro.spark.SparkKHalfHop`) supply only where the points come from.
+  * The sequential run reads through one per-run [[repro.store.PointCache]],
+  * so each `(t, oid)` is fetched from the store at most once: extension and
+  * validation re-cluster points that the benchmark step and HWMT already read.
   */
 object KHalfHop {
 
@@ -115,57 +115,57 @@ object KHalfHop {
     }(_.length)
   }
 
-  /** Steps 5–6 of Algorithm 1: [[extend]] the maximal spanning convoys `vm`
-    * and validate the result to the sorted maximal fully connected convoys.
+  /** Algorithm 1 over `[ts, te]`, timed as the phases `bench, cc, hwmt,
+    * merge, extR, extL, val`. The drivers differ only in where the points
+    * come from, which they supply as three readers:
+    *   - `cluster(bps)`: the clusters of each benchmark snapshot;
+    *   - `hwmt(bps, cc)`: each hop-window's spanning convoys (Algorithm 2);
+    *   - `pruned(vm)`: a `select` that covers the objects of the maximal
+    *     spanning convoys `vm`, for extension and validation. It runs in
+    *     the `merge` phase.
+    *
+    * The readers count the points they cluster into `counter`, which the
+    * report gives as `pointsProcessed`.
     */
-  def finish(
-      select: (Int, ObjSet) => Array[Pt],
-      ts: Int,
-      te: Int,
-      vm: Vector[Convoy],
-      p: Params,
-      counter: PointCounter,
-      timer: PhaseTimer,
-  ): Vector[Convoy] = {
-    val ve = extend(select, ts, te, vm, p, counter, timer)
-    ConvoySets.sorted(timer.phase("val")(Validate.fullyConnected(ve, select, p.eps, p.m, p.k, counter))(_.length))
-  }
-
-  /** Output size of a phase that yields one list per benchmark point or
-    * hop-window: the clusters or spanning convoys of all lists together.
-    */
-  private[repro] def totalSize(lists: Vector[Vector[_]]): Long = lists.iterator.map(_.length.toLong).sum
-
-  /** Mine all maximal FC convoys of `store` and report the run. */
-  def run(store: TrajectoryStore, p: Params): (Vector[Convoy], RunReport) = {
-    val counter = new PointCounter
+  def mine(ts: Int, te: Int, p: Params, counter: PointCounter)(
+      cluster: Vector[Int] => Vector[Vector[ObjSet]],
+      hwmt: (Vector[Int], Vector[Vector[ObjSet]]) => Vector[Vector[Convoy]],
+      pruned: Vector[Convoy] => (Int, ObjSet) => Array[Pt],
+  ): (Vector[Convoy], RunReport) = {
     val timer = new PhaseTimer
-    val cache = new PointCache(store)
-    val select: (Int, ObjSet) => Array[Pt] = cache.select
+    // Output size of a phase that yields one list per benchmark point or hop-window.
+    val total = (lists: Vector[Vector[_]]) => lists.iterator.map(_.length.toLong).sum
 
-    // Step 1: cluster the benchmark points.
-    val bps = benchmarkPoints(store.ts, store.te, p.k)
-    val benchClusters = timer.phase("bench") {
-      bps.map { b =>
-        val pts = cache.snapshot(b)
-        counter.add(pts.length)
-        DBSCAN.cluster(pts, p.eps, p.m)
-      }
-    }(totalSize)
-
-    // Step 2: candidate clusters per hop-window.
-    val cc = timer.phase("cc")(candidates(benchClusters, p.m))(totalSize)
-
-    // Step 3: HWMT — 1st-order spanning convoys per hop-window, one tree
-    // level at a time across the windows, each level read in one store call.
-    val spanning =
-      timer.phase("hwmt")(HWMT.mineWindows(select, cache.prefetch, bps, cc, p.eps, p.m, counter))(totalSize)
+    // Steps 1-3: cluster the benchmark points, candidate clusters per
+    // hop-window (Lemma 5), then HWMT's 1st-order spanning convoys.
+    val bps = benchmarkPoints(ts, te, p.k)
+    val benchClusters = timer.phase("bench")(cluster(bps))(total)
+    val cc = timer.phase("cc")(candidates(benchClusters, p.m))(total)
+    val spanning = timer.phase("hwmt")(hwmt(bps, cc))(total)
 
     // Step 4: merge into maximal spanning convoys.
-    val vm = timer.phase("merge")(Merge.mergeSpanning(spanning, p.m))(_.length)
+    val (vm, select) = timer.phase("merge") {
+      val vm = Merge.mergeSpanning(spanning, p.m)
+      (vm, pruned(vm))
+    }(_._1.length)
 
     // Steps 5-6: extend, k filter, validate.
-    val convoys = finish(select, store.ts, store.te, vm, p, counter, timer)
-    (convoys, timer.report(counter.n))
+    val ve = extend(select, ts, te, vm, p, counter, timer)
+    val convoys = timer.phase("val")(Validate.fullyConnected(ve, select, p.eps, p.m, p.k, counter))(_.length)
+    (ConvoySets.sorted(convoys), timer.report(counter.n))
+  }
+
+  /** Mine all maximal FC convoys of `store` and report the run. Every read
+    * goes through one [[repro.store.PointCache]]; HWMT runs one tree level at
+    * a time across the hop-windows, each level read in one store call.
+    */
+  def run(store: TrajectoryStore, p: Params): (Vector[Convoy], RunReport) = {
+    val counter = new PointCounter
+    val cache = new PointCache(store)
+    mine(store.ts, store.te, p, counter)(
+      _.map(b => counter.cluster(cache.snapshot(b), p.eps, p.m)),
+      HWMT.mineWindows(cache.select, cache.prefetch, _, _, p.eps, p.m, counter),
+      _ => cache.select,
+    )
   }
 }

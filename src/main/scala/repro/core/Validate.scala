@@ -46,11 +46,7 @@ object Validate {
       if (v.len >= k && v.objs.length >= m && seen.add(v)) {
         val cache = mutable.HashMap.empty[Int, Vector[ObjSet]]
         def clustersAt(t: Int): Vector[ObjSet] =
-          cache.getOrElseUpdate(t, {
-            val pts = select(t, v.objs)
-            counter.add(pts.length)
-            DBSCAN.cluster(pts, eps, m)
-          })
+          cache.getOrElseUpdate(t, counter.cluster(select(t, v.objs), eps, m))
 
         // Fast path: HWMT*-ordered whole-set confirmation.
         var fc = true

@@ -1,12 +1,12 @@
 package repro.dcm
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
-import repro.core.{Convoy, ConvoySets, DBSCAN, Merge, ObjSets, PhaseTimer, PointCounter, Pt, RunReport}
+import repro.core.{Convoy, ConvoySets, Merge, ObjSets, PhaseTimer, PointCounter, Pt, RunReport}
 import repro.core.KHalfHop.Params
 import repro.core.ObjSets.ObjSet
 import repro.baseline.PCCD
+import repro.spark.Frames
 
 /** Distributed Convoy Mining (Orakzai et al., MDM'16) — the distributed
   * baseline of §6, ported from Hadoop MapReduce to Spark.
@@ -35,9 +35,7 @@ object DCM {
     val timer = new PhaseTimer
 
     val frame = df.select($"oid", $"t", $"x", $"y")
-    val bounds = frame.agg(min($"t"), max($"t")).head()
-    // An empty frame has null bounds: mine the empty range [0, -1].
-    val (tsMin, tsMax) = if (bounds.isNullAt(0)) (0, -1) else (bounds.getInt(0), bounds.getInt(1))
+    val (tsMin, tsMax) = Frames.span(frame)
 
     // Local phase: per-partition snapshot clustering + PCCD partials.
     val partials = timer.phase("local") {
@@ -51,9 +49,7 @@ object DCM {
           val counter = new PointCounter
           val clustersAt: Int => Vector[ObjSet] = t =>
             byT.get(t) match {
-              case Some(pts) =>
-                counter.add(pts.length)
-                DBSCAN.cluster(pts.map(r => Pt(r._1, r._3, r._4)), eps, m)
+              case Some(pts) => counter.cluster(pts.map(r => Pt(r._1, r._3, r._4)), eps, m)
               case None => Vector.empty
             }
           val local = PCCD.mine(lo to hi, clustersAt, m)

@@ -1,12 +1,12 @@
 package repro.spare
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 import scala.collection.mutable
 
-import repro.core.{Convoy, ConvoySets, DBSCAN, ObjSets, PhaseTimer, Pt, RunReport}
+import repro.core.{Convoy, ConvoySets, ObjSets, PhaseTimer, RunReport}
 import repro.core.KHalfHop.Params
+import repro.spark.Frames
 
 /** The SPARE framework (Fan et al., PVLDB'17) — the state-of-the-art
   * parallel baseline of §6 — specialized to the convoy pattern, on Spark.
@@ -43,15 +43,7 @@ object SPARE {
 
     // Stage 1: cluster every snapshot.
     val (snapshotClusters, sizes) = timer.phase("stage1") {
-      val clustered = df
-        .select($"oid", $"t", $"x", $"y")
-        .as[(Int, Int, Double, Double)]
-        .groupByKey(_._2)
-        .mapGroups { (t, rows) =>
-          val pts = rows.map(r => Pt(r._1, r._3, r._4)).toArray
-          (t, DBSCAN.cluster(pts, eps, m).map(_.toSeq), pts.length)
-        }
-        .persist()
+      val clustered = Frames.clusterSnapshots(df, eps, m).persist()
       // (points, clusters) per snapshot; collecting them forces stage 1.
       (clustered, clustered.map(r => (r._3.toLong, r._2.length.toLong)).collect())
     }(_._2.iterator.map(_._2).sum)

@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.baseline.{BruteForce, PCCD, VCoDA}
 import repro.core.KHalfHop.Params
-import repro.store.{MemStore, TrajData}
+import repro.store.MemStore
 
 /** The correctness hammer: on dozens of adversarial tiny datasets, the full
   * k/2-hop pipeline, the VCoDA baselines and the brute-force definitional

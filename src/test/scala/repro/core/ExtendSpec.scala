@@ -9,7 +9,7 @@ import repro.core.ObjSets.ObjSet
 import repro.store.MemStore
 
 /** Right/left extension of maximal spanning convoys (Algorithm 3) and the
-  * `KHalfHop.finish` stage built on it.
+  * `KHalfHop.extend` stage built on it.
   */
 class ExtendSpec extends AnyFunSuite {
 
@@ -59,7 +59,7 @@ class ExtendSpec extends AnyFunSuite {
     assert(acc.toSet == Set(Convoy(os(0, 1, 2), 7, 9)))
   }
 
-  /** The pre-validation set that `KHalfHop.finish` validates. */
+  /** The pre-validation set that `KHalfHop.mine` validates. */
   private def preValidation(vm: Convoy*): Vector[Convoy] =
     KHalfHop.extend(sel(new MemStore(data)), 0, 9, vm.toVector, KHalfHop.Params(2, 8, 1.5), new PointCounter, new PhaseTimer)
 

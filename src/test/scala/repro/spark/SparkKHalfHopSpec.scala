@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.{SparkSpec, TestData}
-import repro.core.{KHalfHop, RunReport}
+import repro.core.{Convoy, KHalfHop, ObjSets, RunReport}
 import repro.core.KHalfHop.Params
 import repro.data.TrajGen
 import repro.store.{MemStore, TrajData}
@@ -11,7 +11,7 @@ import repro.store.{MemStore, TrajData}
   */
 class SparkKHalfHopSpec extends SparkSpec {
 
-  private def compare(data: TrajData, p: Params): Unit = {
+  private def compare(data: TrajData, p: Params): Vector[Convoy] = {
     val (seq, seqReport) = KHalfHop.run(new MemStore(data), p)
     val df = TrajGen.toDF(spark, data)
     val (dist, report) = SparkKHalfHop.run(spark, df, p)
@@ -19,6 +19,7 @@ class SparkKHalfHopSpec extends SparkSpec {
     assert(report.pointsProcessed == seqReport.pointsProcessed, s"pointsProcessed for $p")
     def outs(r: RunReport) = r.phases.map(ph => (ph.name, ph.out))
     assert(outs(report) == outs(seqReport), s"phases for $p")
+    dist
   }
 
   test("matches sequential k/2-hop on trucksLite across k") {
@@ -35,7 +36,16 @@ class SparkKHalfHopSpec extends SparkSpec {
   }
 
   test("matches sequential with k=2 (benchmark at every timestamp)") {
-    compare(TestData.randomTiny(3, 8, 20), Params(2, 2, TestData.GridEps))
+    for (k <- Seq(2, 3)) compare(TestData.randomTiny(3, 8, 20), Params(2, k, TestData.GridEps))
+  }
+
+  test("matches sequential when a hop-window's candidates have no interior point") {
+    // {0,1,2} is together at every t but 1, where only the far object 9 has a
+    // point: window (0, 2) keeps its candidate, but no candidate point falls in it.
+    val data = TestData.fromTriples((0 to 8).flatMap { t =>
+      TestData.line(t, 9 -> 500.0) ++ (if (t == 1) Nil else TestData.line(t, 0 -> 0.0, 1 -> 1.0, 2 -> 2.0))
+    })
+    assert(compare(data, Params(3, 4, 1.5)) == Vector(Convoy(ObjSets.of(Seq(0, 1, 2)), 2, 8)))
   }
 
   test("matches sequential on a convoy with an extreme or negative oid") {
