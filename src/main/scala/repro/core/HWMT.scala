@@ -86,7 +86,7 @@ object HWMT {
   /** Mine the spanning convoys of hop-window `(b1, b2)` from its candidate
     * cluster set `cc`. Interior timestamps only — the candidates already
     * reflect the clusterings at `b1` and `b2`. [[mineWindows]] for one
-    * window, with nothing to prefetch.
+    * window, each level read through `select` one timestamp at a time.
     */
   def mineWindow(
       select: (Int, ObjSet) => Array[Pt],
@@ -96,20 +96,22 @@ object HWMT {
       eps: Double,
       m: Int,
       counter: PointCounter,
-  ): Vector[Convoy] = mineWindows(select, _ => (), Vector(b1, b2), Vector(cc), eps, m, counter).head
+  ): Vector[Convoy] =
+    mineWindows(_.map { case (t, o) => select(t, o) }, Vector(b1, b2), Vector(cc), eps, m, counter).head
 
   /** [[mineWindow]] for every hop-window `(bps(i), bps(i + 1))` with
     * candidates `cc(i)`, run one tree level at a time across the windows.
-    * Before each level, `prefetch` is handed every `(t, union of the
-    * window's live candidates)` of that level, so a store can answer the
-    * whole level in one call; each window then re-clusters the level's
-    * timestamps through `select` in tree order. A window stops at the
-    * timestamp where its last candidate dies, so the convoys and the points
-    * fed to DBSCAN are exactly those of each window mined alone.
+    * Each level is read with one `selectMany` call: one `(t, union of the
+    * window's live candidates)` request per timestamp of the level, so a
+    * store can answer the whole level at once. Each window then re-clusters
+    * the level's timestamps from those answers in tree order; hop-windows
+    * share no interior timestamp, so the answers are keyed by `t`. A window
+    * stops at the timestamp where its last candidate dies, so the convoys
+    * and the points fed to DBSCAN are exactly those of each window mined
+    * alone.
     */
   def mineWindows(
-      select: (Int, ObjSet) => Array[Pt],
-      prefetch: Seq[(Int, ObjSet)] => Unit,
+      selectMany: Seq[(Int, ObjSet)] => Seq[Array[Pt]],
       bps: Vector[Int],
       cc: Vector[Vector[ObjSet]],
       eps: Double,
@@ -122,14 +124,16 @@ object HWMT {
     val levels = cc.indices.map(i => if (cc(i).isEmpty) Vector.empty else treeLevels(bps(i) + 1, bps(i + 1) - 1))
     val depth = levels.iterator.map(_.length).maxOption.getOrElse(0)
     var d = 0
-    while (d < depth) {
+    // Evenly spaced benchmark points: every live window has a request at `d`.
+    while (d < depth && cands.exists(_.nonEmpty)) {
       val reqs = Vector.newBuilder[(Int, ObjSet)]
       for (i <- cands.indices if d < levels(i).length && cands(i).nonEmpty) {
         val union = ObjSets.of(cands(i).iterator.flatten)
         levels(i)(d).foreach(t => reqs += ((t, union)))
       }
       val batch = reqs.result()
-      if (batch.nonEmpty) prefetch(batch)
+      val read = batch.iterator.map(_._1).zip(selectMany(batch)).toMap
+      val select = (t: Int, oids: ObjSet) => Pts.select(read(t), oids)
       for (i <- cands.indices if d < levels(i).length) {
         val level = levels(i)(d)
         var li = 0

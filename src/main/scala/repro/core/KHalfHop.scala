@@ -164,7 +164,7 @@ object KHalfHop {
     val cache = new PointCache(store)
     mine(store.ts, store.te, p, counter)(
       _.map(b => counter.cluster(cache.snapshot(b), p.eps, p.m)),
-      HWMT.mineWindows(cache.select, cache.prefetch, _, _, p.eps, p.m, counter),
+      HWMT.mineWindows(cache.selectMany, _, _, p.eps, p.m, counter),
       _ => cache.select,
     )
   }

@@ -35,6 +35,19 @@ object Pts {
     }
     if (n == out.length) out else java.util.Arrays.copyOf(out, n)
   }
+
+  /** Oid-sorted union (two-pointer); an oid in both keeps `a`'s point. */
+  def union(a: Array[Pt], b: Array[Pt]): Array[Pt] = {
+    val out = new mutable.ArrayBuilder.ofRef[Pt]
+    var i = 0; var j = 0
+    while (i < a.length || j < b.length) {
+      if (j == b.length || (i < a.length && a(i).oid <= b(j).oid)) {
+        if (j < b.length && a(i).oid == b(j).oid) j += 1
+        out += a(i); i += 1
+      } else { out += b(j); j += 1 }
+    }
+    out.result()
+  }
 }
 
 /** Operations on object sets represented as sorted, deduplicated
@@ -69,6 +82,19 @@ object ObjSets {
       if (ai == bj) { out += ai; i += 1; j += 1 }
       else if (ai < bj) i += 1
       else j += 1
+    }
+    ArraySeq.unsafeWrapArray(out.result())
+  }
+
+  /** Sorted-set union (two-pointer). */
+  def union(a: ObjSet, b: ObjSet): ObjSet = {
+    val out = new mutable.ArrayBuilder.ofInt
+    var i = 0; var j = 0
+    while (i < a.length || j < b.length) {
+      if (j == b.length || (i < a.length && a(i) <= b(j))) {
+        if (j < b.length && a(i) == b(j)) j += 1
+        out += a(i); i += 1
+      } else { out += b(j); j += 1 }
     }
     ArraySeq.unsafeWrapArray(out.result())
   }

@@ -5,6 +5,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.collection.mutable
 
 import repro.core.{Convoy, ConvoySets, ObjSets, PhaseTimer, RunReport}
+import repro.core.ObjSets.ObjSet
 import repro.core.KHalfHop.Params
 import repro.spark.Frames
 
@@ -60,7 +61,7 @@ object SPARE {
         .mapGroups { (star, edges) =>
           val byNeighbor = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
           edges.foreach { case (_, o2, t) => byNeighbor.getOrElseUpdate(o2, mutable.ArrayBuffer.empty) += t }
-          val convoys = enumerateStar(star, byNeighbor.map { case (o, ts) => o -> ts.toArray.sorted }.toMap, m, k)
+          val convoys = enumerateStar(star, byNeighbor.map { case (o, ts) => o -> ObjSets.of(ts) }.toMap, m, k)
           convoys.map(c => (c.objs.toSeq, c.ts, c.te))
         }
         .collect()
@@ -80,14 +81,14 @@ object SPARE {
     */
   private[spare] def enumerateStar(
       star: Int,
-      neighbors: Map[Int, Array[Int]],
+      neighbors: Map[Int, ObjSet],
       m: Int,
       k: Int,
   ): Vector[Convoy] = {
     val out = Vector.newBuilder[Convoy]
     val ids = neighbors.keys.toArray.sorted
 
-    def runs(ts: Array[Int]): Vector[(Int, Int)] = {
+    def runs(ts: ObjSet): Vector[(Int, Int)] = {
       val rs = Vector.newBuilder[(Int, Int)]
       var i = 0
       while (i < ts.length) {
@@ -99,24 +100,13 @@ object SPARE {
       rs.result()
     }
 
-    def intersectSorted(a: Array[Int], b: Array[Int]): Array[Int] = {
-      val outB = new mutable.ArrayBuilder.ofInt
-      var i = 0; var j = 0
-      while (i < a.length && j < b.length) {
-        if (a(i) == b(j)) { outB += a(i); i += 1; j += 1 }
-        else if (a(i) < b(j)) i += 1
-        else j += 1
-      }
-      outB.result()
-    }
-
-    def dfs(chosen: List[Int], ts: Array[Int], from: Int): Unit = {
+    def dfs(chosen: List[Int], ts: ObjSet, from: Int): Unit = {
       val viable = runs(ts)
       if (viable.isEmpty) return
       var i = from
       while (i < ids.length) {
         val cand = ids(i)
-        val nts = intersectSorted(ts, neighbors(cand))
+        val nts = ObjSets.intersect(ts, neighbors(cand))
         if (runs(nts).nonEmpty) dfs(cand :: chosen, nts, i + 1)
         i += 1
       }
@@ -129,7 +119,7 @@ object SPARE {
       }
     }
 
-    dfs(Nil, neighbors.values.foldLeft(Set.empty[Int])(_ ++ _).toArray.sorted, 0)
+    dfs(Nil, ObjSets.of(neighbors.values.iterator.flatten), 0)
     out.result()
   }
 }

@@ -19,7 +19,7 @@ import repro.core.ObjSets.ObjSet
 final class FileStore private (
     val path: Path,
     data: TrajData,
-    deleteOnClose: Boolean,
+    ownsFile: Boolean,
 ) extends CountingStore {
 
   // Charge the initial full scan: a flat file must be read end-to-end.
@@ -33,19 +33,18 @@ final class FileStore private (
 
   override def select(t: Int, oids: ObjSet): Array[Pt] = data.select(t, oids)
 
-  override def close(): Unit = if (deleteOnClose) Files.deleteIfExists(path)
+  override def close(): Unit = if (ownsFile) Files.deleteIfExists(path)
 }
 
 object FileStore {
   private val Magic = 0x4b32f11e
 
   /** Serialize `data` to `path` (binary: magic, ts, te, per-timestamp counts
-    * and records) and open a store over it.
+    * and records) and open a store over it that deletes `path` on close.
     */
-  def create(data: TrajData, path: Path = Files.createTempFile("k2file", ".bin"),
-             deleteOnClose: Boolean = true): FileStore = {
+  def create(data: TrajData, path: Path = Files.createTempFile("k2file", ".bin")): FileStore = {
     write(data, path)
-    open(path, deleteOnClose)
+    read(path, ownsFile = true)
   }
 
   def write(data: TrajData, path: Path): Unit = {
@@ -59,8 +58,10 @@ object FileStore {
     } finally out.close()
   }
 
-  /** Read the whole file back (sequential scan) and wrap it. */
-  def open(path: Path, deleteOnClose: Boolean = false): FileStore = {
+  /** Read the whole file back (sequential scan) and wrap it; close keeps the file. */
+  def open(path: Path): FileStore = read(path, ownsFile = false)
+
+  private def read(path: Path, ownsFile: Boolean): FileStore = {
     val in = new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile), 1 << 16))
     try {
       require(in.readInt() == Magic, s"$path is not a FileStore image")
@@ -69,7 +70,7 @@ object FileStore {
         val n = in.readInt()
         Array.fill(n)(Pt(in.readInt(), in.readDouble(), in.readDouble()))
       }
-      new FileStore(path, TrajData(ts, te, byTime), deleteOnClose)
+      new FileStore(path, TrajData(ts, te, byTime), ownsFile)
     } finally in.close()
   }
 }

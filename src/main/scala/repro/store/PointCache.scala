@@ -1,6 +1,5 @@
 package repro.store
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 import repro.core.{ObjSets, Pt, Pts}
@@ -9,108 +8,89 @@ import repro.core.ObjSets.ObjSet
 /** Read-through cache over `store` for the lifetime of one mining run: each
   * `(t, oid)` is fetched from the store at most once.
   *
-  *   - `snapshot(t)` makes `t` fully covered: later selects at `t` are
-  *     answered from the snapshot without a store call.
-  *   - `select(t, oids)` asks the store only for the oids not yet covered at
-  *     `t`; an object the store does not return is remembered as absent, so
-  *     it is never asked for again.
-  *   - `prefetch(reqs)` does the same for many `(t, oids)` at once, with one
-  *     `store.selectMany` call (HWMT reads one tree level ahead this way).
+  * Per timestamp it keeps the points read so far, in ascending oid order,
+  * and the oids asked for; a `snapshot(t)` covers `t` whole. `select` and
+  * `selectMany` ask the store only for the oids not yet asked for at each
+  * `t`, with at most one `store.select` or one `store.selectMany` call
+  * respectively (on DuckDB the batched join costs more than one select).
+  * An object the store does not return stays asked for.
   *
   * Answers are exactly what the store would return, in ascending oid order,
   * so DBSCAN sees identical input. The cache relies on the store returning
   * its points in ascending oid order (the `TrajectoryStore` contract) and
-  * fails loudly when a `select` or `selectMany` answer breaks it.
+  * fails loudly when an answer breaks it.
   *
-  * k/2-hop feeds every point it reads to DBSCAN, except what HWMT's
-  * read-ahead fetched for candidates that died earlier in the same tree
-  * level, so a run's cache holds about `pointsProcessed` points, plus one
-  * marker per object asked for and found absent. It has no size limit:
-  * drop the cache when the run ends.
-  * A `snapshot(t)` after a `select` at the same `t` reads the whole
-  * timestamp again (the store has no "rest of `t`" access path); k/2-hop
-  * takes all its snapshots before its first select.
+  * k/2-hop clusters every point it reads, except what HWMT read for
+  * candidates that died earlier in the same tree level, so a run's cache
+  * holds about `pointsProcessed` points. It has no size limit: drop the
+  * cache when the run ends. A `snapshot(t)` after a `select` at the same `t`
+  * reads the whole timestamp again (the store has no "rest of `t`" access
+  * path); k/2-hop takes all its snapshots before its first select.
   */
 final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
-  import PointCache.Absent
+  import PointCache.At
 
-  /** Snapshots taken, by timestamp: these timestamps are fully covered. */
-  private val snapshots = mutable.LongMap.empty[Array[Pt]]
-
-  /** Selected points by timestamp, then oid; `Absent` marks an object the
-    * store was asked for at `t` and did not return. One small map per
-    * timestamp keeps a run's lookups at one `t` close together in memory.
-    */
-  private val points = mutable.LongMap.empty[mutable.LongMap[Pt]]
+  private val cache = mutable.LongMap.empty[At]
 
   override def ts: Int = store.ts
   override def te: Int = store.te
   override def totalPoints: Long = store.totalPoints
 
-  override def snapshot(t: Int): Array[Pt] =
-    snapshots.getOrElseUpdate(t, store.snapshot(t))
-
-  override def select(t: Int, oids: ObjSet): Array[Pt] = {
-    val all = snapshots.getOrNull(t)
-    if (all ne null) return Pts.select(all, oids)
-    val at = points.getOrNull(t)
-    val found = new Array[Pt](oids.length)
-    var missing = oids.length
-    if (at ne null) {
-      var i = 0
-      while (i < oids.length) {
-        found(i) = at.getOrNull(oids(i))
-        if (found(i) ne null) missing -= 1
-        i += 1
-      }
+  override def snapshot(t: Int): Array[Pt] = {
+    val at = cache.getOrNull(t)
+    if ((at ne null) && (at.asked eq null)) at.pts
+    else {
+      val pts = store.snapshot(t)
+      cache(t) = new At(pts, null)
+      pts
     }
-    if (missing > 0) {
-      val ask = new Array[Int](missing)
-      var j = 0
-      for (i <- found.indices if found(i) eq null) { ask(j) = oids(i); j += 1 }
-      val asked = ArraySeq.unsafeWrapArray(ask)
-      val got = remember(t, asked, store.select(t, asked))
-      j = 0
-      for (i <- found.indices if found(i) eq null) { found(i) = got(j); j += 1 }
-    }
-    found.filter(_ ne Absent)
   }
 
-  /** Read ahead: fetch every `(t, oids)` request's oids not yet covered at
-    * its `t` in one `store.selectMany` call, so that later selects of them
-    * make no store call.
-    */
-  def prefetch(reqs: Seq[(Int, ObjSet)]): Unit = {
-    val asks = reqs.iterator.map { case (t, oids) =>
-      val at = points.getOrNull(t)
-      (t, if (snapshots.contains(t)) ObjSets.empty else if (at eq null) oids else oids.filterNot(at.contains(_)))
-    }.filter(_._2.nonEmpty).toVector
+  override def select(t: Int, oids: ObjSet): Array[Pt] = {
+    val ask = uncovered(t, oids)
+    if (ask.nonEmpty) add(t, ask, store.select(t, ask))
+    lookup(t, oids)
+  }
+
+  override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = {
+    val asks = reqs.iterator.map { case (t, oids) => (t, uncovered(t, oids)) }.filter(_._2.nonEmpty).toVector
     if (asks.nonEmpty) {
       val answers = store.selectMany(asks)
       if (answers.length != asks.length)
         throw new IllegalStateException(s"selectMany answered ${answers.length} of ${asks.length} requests")
-      asks.lazyZip(answers).foreach { case ((t, ask), got) => remember(t, ask, got) }
+      asks.lazyZip(answers).foreach { case ((t, ask), got) => add(t, ask, got) }
+    }
+    reqs.map { case (t, oids) => lookup(t, oids) }
+  }
+
+  /** The oids of `oids` not yet asked for at `t`. */
+  private def uncovered(t: Int, oids: ObjSet): ObjSet = {
+    val at = cache.getOrNull(t)
+    if (at eq null) oids
+    else if (at.asked eq null) ObjSets.empty
+    else oids.filterNot(ObjSets.contains(at.asked, _))
+  }
+
+  /** Merge the store's answer `got` to the uncovered `ask` at `t` into the
+    * cache. `got` must be a subsequence of `ask`: in oid order, asked for.
+    */
+  private def add(t: Int, ask: ObjSet, got: Array[Pt]): Unit = {
+    var g = 0
+    ask.foreach(oid => if (g < got.length && got(g).oid == oid) g += 1)
+    if (g != got.length)
+      throw new IllegalStateException(s"select($t, ...) returned points out of oid order or not asked for")
+    val at = cache.getOrNull(t)
+    if (at eq null) cache(t) = new At(got, ask)
+    else {
+      // One pass each; two requests of one batch may ask for the same oid.
+      at.pts = Pts.union(at.pts, got)
+      at.asked = ObjSets.union(at.asked, ask)
     }
   }
 
-  /** Cache the store's answer `got` to a select of the uncovered `ask` at
-    * `t`. Returns the cached entries in `ask`'s order: each object's point,
-    * or `Absent` where the store did not return it.
-    */
-  private def remember(t: Int, ask: ObjSet, got: Array[Pt]): Array[Pt] = {
-    val at = points.getOrElseUpdate(t, mutable.LongMap.empty[Pt])
-    val entries = new Array[Pt](ask.length)
-    var g = 0
-    var i = 0
-    while (i < ask.length) {
-      val oid = ask(i)
-      entries(i) = if (g < got.length && got(g).oid == oid) { g += 1; got(g - 1) } else Absent
-      at.update(oid, entries(i))
-      i += 1
-    }
-    if (g != got.length)
-      throw new IllegalStateException(s"select($t, ...) returned points out of oid order or not asked for")
-    entries
+  private def lookup(t: Int, oids: ObjSet): Array[Pt] = {
+    val at = cache.getOrNull(t)
+    if (at eq null) Array.empty[Pt] else Pts.select(at.pts, oids)
   }
 
   /** Reads through the cache are charged by the store itself. */
@@ -122,6 +102,8 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
 }
 
 object PointCache {
-  /** Marker for "asked for, not present at t"; compared by reference. */
-  private val Absent = Pt(0, Double.NaN, Double.NaN)
+  /** What the cache holds at one timestamp: the points read, oid-sorted, and
+    * the oids asked for; `asked` is null once a snapshot covers the timestamp.
+    */
+  private final class At(var pts: Array[Pt], var asked: ObjSet)
 }

@@ -5,11 +5,11 @@ import repro.core.ObjSets.ObjSet
 
 /** Storage substrate for trajectory data, matching §5 of the paper.
   *
-  * k/2-hop needs exactly two access paths:
+  * k/2-hop reads points in two ways:
   *   1. `snapshot(t)` — full scan of one timestamp (benchmark points);
-  *   2. `select(t, oids)` — point access by (timestamp, object id)
-  *      (HWMT re-clustering, extension, validation); `selectMany` asks for
-  *      many `(t, oids)` at once (one HWMT tree level across hop-windows).
+  *   2. point access by (timestamp, object id): `select(t, oids)` for
+  *      extension and validation, and `selectMany` for many `(t, oids)` at
+  *      once (HWMT reads one tree level across hop-windows this way).
   *
   * Implementations also maintain I/O counters so benches can report the
   * storage-level cost alongside the algorithm-level "points processed"

@@ -180,17 +180,17 @@ class HWMTSpec extends AnyFunSuite {
       val bps = KHalfHop.benchmarkPoints(data.ts, data.te, k)
       val cc = KHalfHop.candidates(bps.map(b => DBSCAN.cluster(data.snapshot(b), p.eps, p.m)), p.m)
       val (all, single, each) = (new PointCounter, new PointCounter, new PointCounter)
-      val prefetched = Vector.newBuilder[Seq[(Int, ObjSets.ObjSet)]]
-      val got = HWMT.mineWindows(store.select, prefetched += _, bps, cc, p.eps, p.m, all)
+      val batches = Vector.newBuilder[Seq[(Int, ObjSets.ObjSet)]]
+      val got = HWMT.mineWindows(reqs => { batches += reqs; store.selectMany(reqs) }, bps, cc, p.eps, p.m, all)
       val want = cc.indices.toVector.map(i => perWindow(store.select, bps(i), bps(i + 1), cc(i), p.eps, p.m, each))
       val alone = cc.indices.toVector.map(i => HWMT.mineWindow(store.select, bps(i), bps(i + 1), cc(i), p.eps, p.m, single))
       assert(got == want && alone == want, s"seed $seed, k $k")
       assert(all.n == each.n && single.n == each.n, s"seed $seed, k $k")
-      assert(prefetched.result().length <= HWMT.treeLevels(1, k / 2 - 1).length, s"seed $seed, k $k")
+      assert(batches.result().length <= HWMT.treeLevels(1, k / 2 - 1).length, s"seed $seed, k $k")
     }
     // No benchmark point (an empty dataset), or one: no hop-window.
     for (bps <- Seq(Vector.empty[Int], Vector(7)))
-      assert(HWMT.mineWindows((_, _) => Array.empty[Pt], _ => fail("prefetch"), bps, Vector.empty, 1.5, 2, new PointCounter).isEmpty)
+      assert(HWMT.mineWindows(_ => fail("selectMany"), bps, Vector.empty, 1.5, 2, new PointCounter).isEmpty)
   }
 
   test("reclusterAll partitions a batched read back to its owning candidates") {

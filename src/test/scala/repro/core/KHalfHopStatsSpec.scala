@@ -91,7 +91,7 @@ class KHalfHopStatsSpec extends AnyFunSuite {
       val counter = new PointCounter
       val bps = KHalfHop.benchmarkPoints(data.ts, data.te, p.k)
       val cc = KHalfHop.candidates(bps.map(b => DBSCAN.cluster(cache.snapshot(b), p.eps, p.m)), p.m)
-      val spanning = HWMT.mineWindows(cache.select, cache.prefetch, bps, cc, p.eps, p.m, counter)
+      val spanning = HWMT.mineWindows(cache.selectMany, bps, cc, p.eps, p.m, counter)
       val acc = mutable.ArrayBuffer.empty[Convoy]
       Merge.mergeSpanning(spanning, p.m).foreach(v =>
         Extend.extendOne(cache.select, v, data.te, forward = true, p.eps, p.m, counter, acc))
@@ -116,7 +116,7 @@ class KHalfHopStatsSpec extends AnyFunSuite {
       val bps = KHalfHop.benchmarkPoints(data.ts, data.te, p.k)
       val cc = KHalfHop.candidates(bps.map(b => DBSCAN.cluster(cache.snapshot(b), p.eps, p.m)), p.m)
       val snapshots = recorder.calls.length
-      val spanning = HWMT.mineWindows(cache.select, cache.prefetch, bps, cc, p.eps, p.m, new PointCounter)
+      val spanning = HWMT.mineWindows(cache.selectMany, bps, cc, p.eps, p.m, new PointCounter)
       assert(recorder.calls.length == snapshots, s"HWMT made a per-window select for $p")
       assert(recorder.batches.length <= levels, s"${recorder.batches.length} batched calls for $levels levels, $p")
       // The whole run issues exactly those batches and finds the same spanning convoys.

@@ -62,6 +62,17 @@ class ModelSpec extends AnyFunSuite {
     }
   }
 
+  test("union and Pts.union agree with Set semantics (200 random cases)") {
+    val rng = new Random(3)
+    for (_ <- 1 to 200) {
+      val a = List.fill(rng.nextInt(12))(rng.nextInt(20) - 10)
+      val b = List.fill(rng.nextInt(12))(rng.nextInt(20) - 10)
+      assert(union(ObjSets.of(a), ObjSets.of(b)) == ObjSets.of(a ++ b), s"$a $b")
+      def pts(xs: List[Int]) = ObjSets.of(xs).map(o => Pt(o, o.toDouble, -o.toDouble)).toArray
+      assert(Pts.union(pts(a), pts(b)).toSeq == pts(a ++ b).toSeq, s"$a $b")
+    }
+  }
+
   test("Pts.select on empty inputs and absent oids") {
     val pts = Array(Pt(Int.MinValue, 0, 0), Pt(-3, 1, 1), Pt(4, 2, 2), Pt(Int.MaxValue, 3, 3))
     assert(Pts.select(Array.empty[Pt], os(1, 2)).isEmpty)

@@ -68,9 +68,9 @@ class SpareSpec extends SparkSpec {
     // star = 1; neighbors 2 and 3 co-clustered with 1 on [0,5]; neighbor 4
     // only on [0,2]. m=3, k=3: expect {1,2,3}[0,5] and {1,2,3,4}[0,2].
     val neighbors = Map(
-      2 -> Array(0, 1, 2, 3, 4, 5),
-      3 -> Array(0, 1, 2, 3, 4, 5),
-      4 -> Array(0, 1, 2),
+      2 -> ObjSets.of(Seq(0, 1, 2, 3, 4, 5)),
+      3 -> ObjSets.of(Seq(0, 1, 2, 3, 4, 5)),
+      4 -> ObjSets.of(Seq(0, 1, 2)),
     )
     val res = ConvoySets.maximal(SPARE.enumerateStar(1, neighbors, m = 3, k = 3))
     assert(res.toSet == Set(
@@ -80,7 +80,7 @@ class SpareSpec extends SparkSpec {
   }
 
   test("star enumerator prunes runs shorter than k") {
-    val neighbors = Map(2 -> Array(0, 1, 5, 6), 3 -> Array(0, 1, 5, 6))
+    val neighbors = Map(2 -> ObjSets.of(Seq(0, 1, 5, 6)), 3 -> ObjSets.of(Seq(0, 1, 5, 6)))
     assert(SPARE.enumerateStar(1, neighbors, m = 3, k = 3).isEmpty)
     assert(SPARE.enumerateStar(1, neighbors, m = 3, k = 2).nonEmpty)
   }

@@ -40,43 +40,57 @@ class PointCacheSpec extends AnyFunSuite {
       val rng = new Random(seed)
       val data = randomData(rng)
       // Timestamps just outside [Ts, Te] too: every oid there is absent.
-      val ops = Vector.fill(80) {
-        val t = Ts - 1 + rng.nextInt(Te - Ts + 3)
-        if (rng.nextInt(6) == 0) (t, None) else (t, Some(ObjSets.of(oidPool.filter(_ => rng.nextInt(3) == 0))))
-      }
+      def someT = Ts - 1 + rng.nextInt(Te - Ts + 3)
+      def someOids = ObjSets.of(oidPool.filter(_ => rng.nextInt(3) == 0))
+      // Each op is a snapshot (0) of the first request's t, a selectMany
+      // (1, 2) of all its requests, or a select (3 to 5) of the first.
+      val ops = Vector.fill(80)((rng.nextInt(6), Vector.fill(1 + rng.nextInt(3))((someT, someOids))))
       val opened = stores(data)
       try opened.foreach { case (name, store) =>
         val recorder = new RecordingStore(store)
         val cache = new PointCache(recorder)
         val full = mutable.Set.empty[Int]
         val covered = mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
-        def newCalls[A](f: => A): (A, Seq[Call]) = {
-          val before = recorder.calls.length
+        def uncovered(t: Int, oids: ObjSet) = if (full(t)) ObjSets.empty else oids.filterNot(covered(t))
+        /** `f`'s result, and the store calls and batches it made. */
+        def traffic[A](f: => A): (A, Seq[Call], Seq[Seq[(Int, ObjSet)]]) = {
+          val (calls, batches) = (recorder.calls.length, recorder.batches.length)
           val r = f
-          (r, recorder.calls.drop(before).toSeq)
+          (r, recorder.calls.drop(calls).toSeq, recorder.batches.drop(batches).toSeq)
         }
-        ops.zipWithIndex.foreach {
-          case ((t, None), i) =>
-            val (got, calls) = newCalls(cache.snapshot(t))
-            val ctx = s"$name seed $seed op $i snapshot($t)"
-            assert(got.toSeq == store.snapshot(t).toSeq, ctx)
-            assert(calls == (if (full(t)) Nil else Seq(Call(t, None))), ctx)
-            full += t
-          case ((t, Some(oids)), i) =>
-            val missing = if (full(t)) ObjSets.empty else oids.filterNot(covered(t))
-            val (got, calls) = newCalls(cache.select(t, oids))
-            val ctx = s"$name seed $seed op $i select($t, $oids)"
-            assert(got.toSeq == store.select(t, oids).toSeq, ctx)
-            assert(calls == (if (missing.isEmpty) Nil else Seq(Call(t, Some(missing)))), ctx)
-            covered(t) ++= oids
-            val (again, repeatCalls) = newCalls(cache.select(t, oids))
-            assert(again.toSeq == got.toSeq && repeatCalls.isEmpty, s"$ctx, repeated")
+        ops.zipWithIndex.foreach { case ((kind, reqs), i) =>
+          val (t, oids) = reqs.head
+          kind match {
+            case 0 =>
+              val (got, calls, batches) = traffic(cache.snapshot(t))
+              val ctx = s"$name seed $seed op $i snapshot($t)"
+              assert(got.toSeq == data.snapshot(t).toSeq, ctx)
+              assert(calls == (if (full(t)) Nil else Seq(Call(t, None))) && batches.isEmpty, ctx)
+              full += t
+            case 1 | 2 =>
+              val asked = reqs.map { case (t, oids) => (t, uncovered(t, oids)) }.filter(_._2.nonEmpty)
+              val (got, calls, batches) = traffic(cache.selectMany(reqs))
+              val ctx = s"$name seed $seed op $i selectMany($reqs)"
+              assert(got.map(_.toSeq) == reqs.map { case (t, oids) => data.select(t, oids).toSeq }, ctx)
+              assert(calls.isEmpty && batches == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
+              reqs.foreach { case (t, oids) => covered(t) ++= oids }
+            case _ =>
+              val missing = uncovered(t, oids)
+              val (got, calls, batches) = traffic(cache.select(t, oids))
+              val ctx = s"$name seed $seed op $i select($t, $oids)"
+              assert(got.toSeq == data.select(t, oids).toSeq, ctx)
+              assert(calls == (if (missing.isEmpty) Nil else Seq(Call(t, Some(missing)))) && batches.isEmpty, ctx)
+              covered(t) ++= oids
+          }
+          val (again, calls, batches) = traffic(cache.select(t, oids))
+          assert(again.toSeq == data.select(t, oids).toSeq && calls.isEmpty && batches.isEmpty, s"$name seed $seed op $i, repeated")
         }
       }
       finally opened.foreach(_._2.close())
     }
   }
 
+  // A prefetch is a selectMany: one batched store call for a set of requests.
   test("random prefetch/select sequences: a prefetch fetches the uncovered oids in one call, and selects of them make none") {
     for (seed <- 1 to 4) {
       val rng = new Random(100 + seed)
@@ -89,10 +103,10 @@ class PointCacheSpec extends AnyFunSuite {
         val cache = new PointCache(recorder)
         val covered = mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
         ops.zipWithIndex.foreach { case (reqs, i) =>
-          val ctx = s"$name seed $seed op $i prefetch($reqs)"
+          val ctx = s"$name seed $seed op $i selectMany($reqs)"
           val asked = reqs.map { case (t, oids) => (t, oids.filterNot(covered(t))) }.filter(_._2.nonEmpty)
           val before = recorder.batches.length
-          cache.prefetch(reqs)
+          cache.selectMany(reqs)
           assert(recorder.batches.drop(before).toSeq == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
           reqs.foreach { case (t, oids) => covered(t) ++= oids }
           reqs.foreach { case (t, oids) =>
@@ -132,23 +146,24 @@ class PointCacheSpec extends AnyFunSuite {
     assert(recorder.calls.toSeq == Seq(Call(0, None)))
   }
 
-  test("a select after a prefetch makes no store call, and objects absent at t stay absent") {
+  test("a select after a selectMany makes no store call, and objects absent at t stay absent") {
     val recorder = new RecordingStore(new MemStore(data))
     val cache = new PointCache(recorder)
-    cache.prefetch(Seq((0, os(Int.MinValue, 3, 7)), (1, os(-5, 3, Int.MaxValue)), (5, os(1))))
+    val got = cache.selectMany(Seq((0, os(Int.MinValue, 3, 7)), (1, os(-5, 3, Int.MaxValue)), (5, os(1))))
+    assert(got.map(_.map(_.oid).toSeq) == Seq(Seq(Int.MinValue, 3), Seq(3, Int.MaxValue), Nil))
     assert(recorder.batches.toSeq == Seq(Seq((0, os(Int.MinValue, 3, 7)), (1, os(-5, 3, Int.MaxValue)), (5, os(1)))))
     assert(cache.select(0, os(Int.MinValue, 3, 7)).toSeq == Seq(Pt(Int.MinValue, 0, 0), Pt(3, 2, 0)))
     assert(cache.select(1, os(-5, Int.MaxValue)).toSeq == Seq(Pt(Int.MaxValue, 4, 1)))
     assert(cache.select(5, os(1)).isEmpty)
     assert(recorder.calls.isEmpty)
     // Covered requests are dropped; the rest ask only for their uncovered oids.
-    cache.prefetch(Seq((0, os(Int.MinValue, 7)), (1, os(-5)), (5, os(1))))
+    cache.selectMany(Seq((0, os(Int.MinValue, 7)), (1, os(-5)), (5, os(1))))
     assert(recorder.batches.length == 1)
-    cache.prefetch(Seq((0, os(-5, 3)), (1, os(Int.MinValue, 3))))
+    cache.selectMany(Seq((0, os(-5, 3)), (1, os(Int.MinValue, 3))))
     assert(recorder.batches.last == Seq((0, os(-5)), (1, os(Int.MinValue))))
-    // A snapshot covers its timestamp for prefetches too.
+    // A snapshot covers its timestamp for selectMany too.
     assert(cache.snapshot(1).length == 3)
-    cache.prefetch(Seq((1, os(0, 1, 2))))
+    cache.selectMany(Seq((1, os(0, 1, 2))))
     assert(recorder.batches.length == 2)
     assert(cache.pointsRead == 4 + 2 + 3)
   }
@@ -157,7 +172,7 @@ class PointCacheSpec extends AnyFunSuite {
     val reversed = new RecordingStore(new MemStore(data)) {
       override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = super.selectMany(reqs).map(_.reverse)
     }
-    assertThrows[IllegalStateException](new PointCache(reversed).prefetch(Seq((1, os(-5, 3)), (0, os(Int.MinValue, -5, 3)))))
+    assertThrows[IllegalStateException](new PointCache(reversed).selectMany(Seq((1, os(-5, 3)), (0, os(Int.MinValue, -5, 3)))))
   }
 
   test("a store answer out of oid order fails loudly") {

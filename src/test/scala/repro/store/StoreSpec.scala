@@ -128,14 +128,18 @@ class StoreSpec extends AnyFunSuite {
 
   test("FileStore round-trips through its binary format") {
     val path = java.nio.file.Files.createTempFile("roundtrip", ".bin")
-    FileStore.write(data, path)
-    val reopened = FileStore.open(path, deleteOnClose = true)
     try {
-      assert(reopened.totalPoints == data.totalPoints)
-      for (t <- data.ts to data.te by 53)
-        assert(reopened.snapshot(t).toSeq == data.byTime(t - data.ts).toSeq)
-    } finally reopened.close()
-    assert(!java.nio.file.Files.exists(path), "deleteOnClose must remove the file")
+      FileStore.write(data, path)
+      val reopened = FileStore.open(path)
+      try {
+        assert(reopened.totalPoints == data.totalPoints)
+        for (t <- data.ts to data.te by 53)
+          assert(reopened.snapshot(t).toSeq == data.byTime(t - data.ts).toSeq)
+      } finally reopened.close()
+      assert(java.nio.file.Files.exists(path), "closing an opened store must keep its file")
+      FileStore.create(data, path).close()
+      assert(!java.nio.file.Files.exists(path), "closing a created store must remove its file")
+    } finally java.nio.file.Files.deleteIfExists(path)
   }
 
   test("FileStore charges the full dataset on open (flat-file scan semantics)") {
