@@ -9,7 +9,7 @@ import repro.exp.Experiments
 class F7d_GainOverSpareBench extends BenchBase with SparkSpec {
   test("gain over SPARE") {
     warmup()
-    val out = Experiments.gainOverSpare(spark, Experiments.BenchScales)
+    val out = Experiments.gainOverSpark(spark, Experiments.Spare, Experiments.BenchScales)
     record("f7d_gain_spare", out)
     val gains = out.linesIterator.filter(_.startsWith("RESULT|F7d|"))
       .map(r => "gain=\\s*([0-9.]+)".r.findFirstMatchIn(r).get.group(1).toDouble).toSeq
@@ -24,7 +24,7 @@ class F7d_GainOverSpareBench extends BenchBase with SparkSpec {
 class F7g_GainOverDcmBench extends BenchBase with SparkSpec {
   test("gain over DCM") {
     warmup()
-    val out = Experiments.gainOverDcm(spark, Experiments.BenchScales)
+    val out = Experiments.gainOverSpark(spark, Experiments.Dcm, Experiments.BenchScales)
     record("f7g_gain_dcm", out)
     val gains = out.linesIterator.filter(_.startsWith("RESULT|F7g|"))
       .map(r => "gain=\\s*([0-9.]+)".r.findFirstMatchIn(r).get.group(1).toDouble).toSeq

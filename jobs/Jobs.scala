@@ -75,7 +75,7 @@ object ScalabilityJob {
 object GainOverSpareJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.local()
-    try Experiments.gainOverSpare(spark, JobSession.scales)
+    try Experiments.gainOverSpark(spark, Experiments.Spare, JobSession.scales)
     finally spark.stop()
   }
 }
@@ -84,7 +84,7 @@ object GainOverSpareJob {
 object GainOverDcmJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.local()
-    try Experiments.gainOverDcm(spark, JobSession.scales)
+    try Experiments.gainOverSpark(spark, Experiments.Dcm, JobSession.scales)
     finally spark.stop()
   }
 }

@@ -1,8 +1,6 @@
 package repro.baseline
 
-import scala.collection.mutable
-
-import repro.core.{Convoy, ConvoySets, ObjSets}
+import repro.core.{Convoy, Merge}
 import repro.core.ObjSets.ObjSet
 
 /** Partially Connected Convoy Discovery (Yoon & Shahabi '09) — the corrected
@@ -13,56 +11,22 @@ import repro.core.ObjSets.ObjSet
   *   - the exact slow path of FC validation (restricted re-mining),
   *   - the reference implementation k/2-hop is tested against.
   *
-  * Sweeps timestamps in order, maintaining the set of *live* candidates
-  * (object set + earliest start). At each timestamp every candidate is
-  * intersected with every cluster; fresh clusters seed new candidates; a
-  * candidate that can no longer continue intact is emitted as a (maximal)
-  * convoy. Dominance pruning (drop a live candidate whose object set is
-  * contained in another live candidate with an equal-or-earlier start) keeps
-  * the candidate set small; every convoy a dropped candidate could emit is a
-  * sub-convoy of one the dominating chain emits, so output maximality is
-  * unaffected.
+  * Sweeps timestamps in order with the one convoy sweep,
+  * [[repro.core.Merge.mergeSpanning]], over each timestamp's clusters taken
+  * as convoys `[t, t]`: every live candidate is intersected with every
+  * cluster, fresh clusters seed new candidates, a candidate that another
+  * live candidate covers (its objects, from an equal-or-earlier start) is
+  * dropped, and a candidate that can no longer continue intact is emitted
+  * as a (maximal) convoy.
   */
 object PCCD {
 
-  /** All maximal (partially connected) convoys over `range`, no length
-    * filter. `clustersAt(t)` must return the (m,eps)-clusters of timestamp
-    * `t` (disjoint sorted object sets).
+  /** All maximal (partially connected) convoys over the contiguous `range`,
+    * no length filter. `clustersAt(t)` must return the (m,eps)-clusters of
+    * timestamp `t` (disjoint sorted object sets).
     */
-  def mine(range: Seq[Int], clustersAt: Int => Vector[ObjSet], m: Int): Vector[Convoy] = {
-    if (range.isEmpty) return Vector.empty
-    val emitted = mutable.ArrayBuffer.empty[Convoy]
-    var live = Vector.empty[(ObjSet, Int)] // (objects, start), start < current t
-
-    for (t <- range) {
-      val clusters = clustersAt(t)
-      val next = mutable.LinkedHashMap.empty[ObjSet, Int]
-      for ((o, s) <- live; c <- clusters) {
-        val x = ObjSets.intersect(o, c)
-        if (x.length >= m) {
-          val prev = next.get(x)
-          if (prev.forall(_ > s)) next.update(x, s)
-        }
-      }
-      for (c <- clusters) if (!next.contains(c)) next.update(c, t)
-
-      val entries = next.toVector
-      val pruned = entries.filterNot { case (o, s) =>
-        entries.exists { case (o2, s2) =>
-          s2 <= s && o2.length > o.length && ObjSets.subsetOf(o, o2)
-        }
-      }
-      // A live candidate is closed unless some surviving candidate covers its
-      // objects with an equal-or-earlier start.
-      for ((o, s) <- live) {
-        val continues = pruned.exists { case (o2, s2) => s2 <= s && ObjSets.subsetOf(o, o2) }
-        if (!continues) emitted += Convoy(o, s, t - 1)
-      }
-      live = pruned
-    }
-    for ((o, s) <- live) emitted += Convoy(o, s, range.last)
-    ConvoySets.maximal(emitted)
-  }
+  def mine(range: Seq[Int], clustersAt: Int => Vector[ObjSet], m: Int): Vector[Convoy] =
+    Merge.mergeSpanning(range.toIndexedSeq.map(t => clustersAt(t).map(Convoy(_, t, t))), m)
 
   /** Maximal convoys of length ≥ k (the miner half of Definition 8, before
     * FC validation).

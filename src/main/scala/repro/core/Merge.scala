@@ -1,60 +1,42 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** DCM merge (§4.4, Figure 5 / Table 3): combine the per-hop-window
-  * 1st-order spanning convoys into *maximal* spanning convoys.
+/** The one convoy sweep of the repo: the DCM merge (Orakzai et al., MDM'16)
+  * that Step 4 of Algorithm 1 (§4.4, Figure 5 / Table 3) applies to the
+  * hop-windows' spanning convoys, that PCCD applies to each timestamp's
+  * clusters and that DCM applies to its partitions' local convoys.
   *
-  * Sweeps the hop-windows left to right. The `active` set holds convoys
-  * whose lifespan ends at the current boundary benchmark point (still
-  * mergeable); merging an active convoy `a` with a next-window convoy `b`
-  * yields `(O(a) ∩ O(b), [ts(a), te(b)])` when the intersection keeps ≥ m
-  * objects. Convoys that fall out of `active` are frozen into the result
-  * with maximality maintenance — a convoy that later re-grows its lifespan
-  * with the same objects evicts its shorter version, while a shrunken
-  * offshoot coexists with its wider-object ancestor (both can be maximal,
-  * e.g. `{a,b,c,d}[b0,b2]` and `{a,b}[b0,b4]`).
+  * Sweeps the parts left to right, keeping the *live* maximal convoys: those
+  * that the next part may still extend. A live convoy `a` grows into every
+  * convoy `b` of the next part that starts where `a` ends (the shared
+  * benchmark point of two hop-windows) or one timestamp after it (adjacent
+  * timestamps or partitions), as `(O(a) ∩ O(b), [ts(a), te(b)])` when the
+  * intersection keeps ≥ m objects. A live convoy that no new live convoy
+  * covers is closed. A shrunken offshoot coexists with its wider-object
+  * ancestor (both can be maximal, e.g. `{a,b,c,d}[b0,b2]` and
+  * `{a,b}[b0,b4]`), while a convoy that re-grows its lifespan with the same
+  * objects replaces its shorter version.
   */
 object Merge {
 
-  /** `spanning(i)` = the 1st-order spanning convoys of hop-window i (all
-    * with lifespan `[b_i, b_{i+1}]`); returns the maximal spanning convoys.
+  /** The maximal convoys that `parts`, swept in order, merge into. The
+    * convoys of one part all start after the previous part's convoys end,
+    * or at that same timestamp: `parts(i)` holds hop-window i's spanning
+    * convoys (lifespan `[b_i, b_{i+1}]`), one timestamp's clusters, or one
+    * partition's convoys.
     */
-  def mergeSpanning(spanning: IndexedSeq[Vector[Convoy]], m: Int): Vector[Convoy] = {
-    if (spanning.isEmpty) return Vector.empty
-    val frozen = mutable.ArrayBuffer.empty[Convoy]
-    var active = spanning.head
-
-    var i = 1
-    while (i < spanning.length) {
-      val cur = spanning(i)
-      val merged = Vector.newBuilder[Convoy]
-      for (a <- active; b <- cur if a.te == b.ts) {
-        val o = ObjSets.intersect(a.objs, b.objs)
-        if (o.length >= m) merged += Convoy(o, a.ts, b.te)
-      }
-      val newActive = ConvoySets.maximal(merged.result() ++ cur)
-      active.foreach(v => ConvoySets.update(frozen, v))
-      active = newActive
-      i += 1
+  def mergeSpanning(parts: IndexedSeq[Vector[Convoy]], m: Int): Vector[Convoy] = {
+    val closed = Vector.newBuilder[Convoy]
+    var live = Vector.empty[Convoy]
+    parts.foreach { cur =>
+      val grown = for {
+        a <- live
+        b <- cur if b.ts == a.te || b.ts == a.te + 1L
+        o = ObjSets.intersect(a.objs, b.objs) if o.length >= m
+      } yield Convoy(o, a.ts, b.te)
+      val next = ConvoySets.maximal(grown ++ cur)
+      closed ++= live.filterNot(a => next.exists(a.isSubOf))
+      live = next
     }
-    active.foreach(v => ConvoySets.update(frozen, v))
-    ConvoySets.maximal(frozen)
-  }
-
-  /** Generic variant for DCM: merge two adjacent convoy sets whose members
-    * may have arbitrary lifespans inside their partitions. A left convoy
-    * ending at the partition boundary `t` and a right convoy starting at
-    * `t + 1` merge when they share ≥ m objects.
-    */
-  def mergeAdjacent(left: Vector[Convoy], right: Vector[Convoy], boundary: Int, m: Int): Vector[Convoy] = {
-    val out = mutable.ArrayBuffer.empty[Convoy]
-    val merged = for {
-      a <- left if a.te == boundary
-      b <- right if b.ts == boundary + 1
-      o = ObjSets.intersect(a.objs, b.objs) if o.length >= m
-    } yield Convoy(o, a.ts, b.te)
-    (left ++ right ++ merged).foreach(v => ConvoySets.update(out, v))
-    ConvoySets.maximal(out)
+    ConvoySets.maximal(closed.result() ++ live)
   }
 }

@@ -2,12 +2,14 @@ package repro.exp
 
 import java.nio.file.Files
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.core.{Convoy, KHalfHop, PhaseTimer, RunReport}
 import repro.core.KHalfHop.Params
 import repro.baseline.VCoDA
 import repro.data.{GridNetwork, TrajGen}
+import repro.dcm.DCM
+import repro.spare.SPARE
 import repro.store._
 
 /** Experiment harness reproducing every table/figure of §6. One entry point
@@ -259,36 +261,45 @@ object Experiments {
   // ------------------------------------------------------------------
   // Fig 7d: gain over SPARE; Fig 7g: gain over DCM (Spark local[*]).
   // ------------------------------------------------------------------
-  def gainOverSpare(spark: SparkSession, scales: Map[String, Double]): String = report { sb =>
-    emit(sb, "== Fig 7d: k/2-hop gain over SPARE (Spark local[*]) ==")
+
+  /** The report of the median-time run of 3 timed runs, after one untimed
+    * run that warms the JIT and, for Spark, the session.
+    */
+  private def medianOf3(run: => RunReport): RunReport = {
+    run
+    Vector.fill(3)(run).sortBy(_.totalUs).apply(1)
+  }
+
+  /** A Spark baseline of Fig 7d/7g (rows tagged `RESULT|F<figure>|`): its
+    * run, the extra detail its row prints, and the paper's finding.
+    */
+  final case class SparkBaseline(figure: String, name: String, run: (SparkSession, DataFrame, Params) => RunReport,
+      detail: RunReport => String, paper: String)
+
+  val Spare: SparkBaseline = SparkBaseline("7d", "SPARE", (s, df, p) => SPARE.run(s, df, p)._2,
+    r => f" (stage1=${r("stage1").us / 1000}%6d)",
+    "paper: k/2-hop up to 43000x faster than single-core SPARE (stage 1 dominates SPARE)")
+
+  val Dcm: SparkBaseline = SparkBaseline("7g", "DCM", (s, df, p) => DCM.run(s, df, p, lambda = p.k)._2,
+    _ => "", "paper: k/2-hop up to 140x faster than DCM on a 4-node cluster")
+
+  /** Gain of the sequential k2-LSMT over the Spark baseline `b` on every
+    * dataset; each side is the median of 3 timed runs (see `medianOf3`).
+    */
+  def gainOverSpark(spark: SparkSession, b: SparkBaseline, scales: Map[String, Double]): String = report { sb =>
+    emit(sb, s"== Fig ${b.figure}: k/2-hop gain over ${b.name} (Spark local[*]) ==")
     for (name <- DatasetNames) {
       val data = dataset(name, scales(name))
       val df = TrajGen.toDF(spark, data).cache()
       df.count()
       val p = DefaultParams
-      val spare = repro.spare.SPARE.run(spark, df, p)._2
-      val k2Ms = ms(runK2("k2-LSMT", data, p)._2)
-      val gain = ms(spare) / math.max(k2Ms, 0.1)
-      emit(sb, f"RESULT|F7d|$name%-10s|SPARE=${spare.totalUs / 1000}%8d ms (stage1=${spare("stage1").us / 1000}%6d)|" +
+      val r = medianOf3(b.run(spark, df, p))
+      val k2Ms = ms(medianOf3(runK2("k2-LSMT", data, p)._2))
+      val gain = ms(r) / math.max(k2Ms, 0.1)
+      emit(sb, f"RESULT|F${b.figure}|$name%-10s|${b.name}=${r.totalUs / 1000}%8d ms${b.detail(r)}|" +
         f"k2-LSMT=$k2Ms%8.1f ms|gain=$gain%8.1f")
       df.unpersist()
     }
-    emit(sb, "paper: k/2-hop up to 43000x faster than single-core SPARE (stage 1 dominates SPARE)")
-  }
-
-  def gainOverDcm(spark: SparkSession, scales: Map[String, Double]): String = report { sb =>
-    emit(sb, "== Fig 7g: k/2-hop gain over DCM (Spark local[*]) ==")
-    for (name <- DatasetNames) {
-      val data = dataset(name, scales(name))
-      val df = TrajGen.toDF(spark, data).cache()
-      df.count()
-      val p = DefaultParams
-      val dcm = repro.dcm.DCM.run(spark, df, p, lambda = p.k)._2
-      val k2Ms = ms(runK2("k2-LSMT", data, p)._2)
-      val gain = ms(dcm) / math.max(k2Ms, 0.1)
-      emit(sb, f"RESULT|F7g|$name%-10s|DCM=${dcm.totalUs / 1000}%8d ms|k2-LSMT=$k2Ms%8.1f ms|gain=$gain%8.1f")
-      df.unpersist()
-    }
-    emit(sb, "paper: k/2-hop up to 140x faster than DCM on a 4-node cluster")
+    emit(sb, b.paper)
   }
 }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions.{max, min}
 
 import repro.core.{DBSCAN, Pt}
+import repro.store.TrajData
 
 /** The trajectory-frame readers that the Spark miners share. A frame has the
   * columns (oid INT, t INT, x DOUBLE, y DOUBLE).
@@ -19,7 +20,9 @@ object Frames {
   }
 
   /** Every snapshot of `frame`, DBSCAN-clustered in the executors: one row
-    * `(t, clusters, points clustered)` per timestamp.
+    * `(t, clusters, points clustered)` per timestamp. Each snapshot passes
+    * the `TrajData` checks first, so a duplicate `(t, oid)` row or a
+    * non-finite coordinate fails the job.
     */
   def clusterSnapshots(frame: DataFrame, eps: Double, m: Int): Dataset[(Int, Seq[Seq[Int]], Int)] = {
     import frame.sparkSession.implicits._
@@ -28,7 +31,7 @@ object Frames {
       .as[(Int, Int, Double, Double)]
       .groupByKey(_._2)
       .mapGroups { (t, rows) =>
-        val pts = rows.map(r => Pt(r._1, r._3, r._4)).toArray
+        val pts = TrajData.fromPoints(t, t, rows.map(r => (t, Pt(r._1, r._3, r._4))).toVector).snapshot(t)
         (t, DBSCAN.cluster(pts, eps, m).map(_.toSeq), pts.length)
       }
   }

@@ -2,10 +2,12 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.TestData
+import repro.baseline.PCCD
 import repro.core.ObjSets.ObjSet
 
-/** DCM merge of spanning convoys — including the paper's Figure 5 / Table 3
-  * worked example.
+/** The one convoy sweep: the DCM merge of spanning convoys — including the
+  * paper's Figure 5 / Table 3 worked example — and of partitions.
   */
 class MergeSpec extends AnyFunSuite {
 
@@ -109,10 +111,10 @@ class MergeSpec extends AnyFunSuite {
     assert(Merge.mergeSpanning(sp, 2) == Vector(Convoy(os(1, 2, 3), 0, 5)))
   }
 
-  test("mergeAdjacent joins across a partition boundary") {
+  test("a partition boundary joins convoys one timestamp apart") {
     val left = Vector(Convoy(os(1, 2, 3), 0, 4), Convoy(os(7, 8), 1, 3))
     val right = Vector(Convoy(os(2, 3, 4), 5, 9), Convoy(os(7, 8), 5, 6))
-    val r = Merge.mergeAdjacent(left, right, boundary = 4, m = 2).toSet
+    val r = Merge.mergeSpanning(IndexedSeq(left, right), m = 2).toSet
     assert(r.contains(Convoy(os(2, 3), 0, 9)))
     assert(r.contains(Convoy(os(1, 2, 3), 0, 4)))
     assert(r.contains(Convoy(os(2, 3, 4), 5, 9)))
@@ -120,5 +122,17 @@ class MergeSpec extends AnyFunSuite {
     assert(r.contains(Convoy(os(7, 8), 1, 3)))
     assert(r.contains(Convoy(os(7, 8), 5, 6)))
     assert(!r.contains(Convoy(os(7, 8), 1, 6)))
+  }
+
+  test("PCCD over a timeline equals PCCD per partition merged by mergeSpanning") {
+    for (seed <- 1L to 8L; m <- Seq(2, 3)) {
+      val data = TestData.randomTiny(seed, 8, 40)
+      val clusters = (t: Int) => DBSCAN.cluster(data.snapshot(t), TestData.GridEps, m)
+      val whole = ConvoySets.sorted(PCCD.mine(data.ts to data.te, clusters, m))
+      for (lambda <- Seq(1, 2, 3, 7, 40)) {
+        val parts = (data.ts to data.te).grouped(lambda).map(PCCD.mine(_, clusters, m)).toIndexedSeq
+        assert(ConvoySets.sorted(Merge.mergeSpanning(parts, m)) == whole, s"seed=$seed m=$m lambda=$lambda")
+      }
+    }
   }
 }
