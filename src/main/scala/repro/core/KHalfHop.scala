@@ -156,16 +156,32 @@ object KHalfHop {
   }
 
   /** Mine all maximal FC convoys of `store` and report the run. Every read
-    * goes through one [[repro.store.PointCache]]; HWMT runs one tree level at
-    * a time across the hop-windows, each level read in one store call.
+    * goes through one [[repro.store.PointCache]], in one store call per kind
+    * where the store allows it:
+    *   - all benchmark snapshots in one `snapshots` call;
+    *   - HWMT one tree level at a time across the hop-windows, each level in
+    *     one `selectMany` call;
+    *   - extension and validation through `selectAround`, offering the
+    *     interior of the hop-window that holds each `t`,
+    *     `[b + 1, min(b + h - 1, te)]`. A store that reads the whole span
+    *     answers the rest of the convoy's walk through that window from the
+    *     cache. A benchmark point is offered alone: it is cached whole.
     */
   def run(store: TrajectoryStore, p: Params): (Vector[Convoy], RunReport) = {
     val counter = new PointCounter
     val cache = new PointCache(store)
-    mine(store.ts, store.te, p, counter)(
-      _.map(b => counter.cluster(cache.snapshot(b), p.eps, p.m)),
+    val (ts, te, h) = (store.ts, store.te, p.k / 2)
+    val select = (t: Int, oids: ObjSet) => {
+      // In Long: `b + h` wraps for timestamps near Int.MaxValue.
+      val b = ts + Math.floorDiv(t.toLong - ts, h.toLong) * h
+      val (t0, t1) = if (b == t || t > te) (t, t) else ((b + 1).toInt, math.min(b + h - 1, te.toLong).toInt)
+      val (lo, got) = cache.selectAround(t, oids, t0, t1)
+      got(t - lo)
+    }
+    mine(ts, te, p, counter)(
+      bps => cache.snapshots(bps).iterator.map(counter.cluster(_, p.eps, p.m)).toVector,
       HWMT.mineWindows(cache.selectMany, _, _, p.eps, p.m, counter),
-      _ => cache.select,
+      _ => select,
     )
   }
 }

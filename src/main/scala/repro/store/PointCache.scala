@@ -9,10 +9,16 @@ import repro.core.ObjSets.ObjSet
   * `(t, oid)` is fetched from the store at most once.
   *
   * Per timestamp it keeps the points read so far, in ascending oid order,
-  * and the oids asked for; a `snapshot(t)` covers `t` whole. `select` and
-  * `selectMany` ask the store only for the oids not yet asked for at each
-  * `t`, with at most one `store.select` or one `store.selectMany` call
-  * respectively (on DuckDB the batched join costs more than one select).
+  * and the oids asked for; a `snapshot(t)` covers `t` whole. Each read makes
+  * at most one store call, of its own kind, and asks only for what is not
+  * covered yet:
+  *   - `snapshot` and `snapshots` read the timestamps not yet covered whole;
+  *   - `select` and `selectMany` read the oids not yet asked for at each `t`
+  *     (on DuckDB the batched join costs more than one select);
+  *   - `selectAround` reads the oids not yet asked for at `t`, over the span
+  *     the store chooses, and files every timestamp of that span, so no later
+  *     read of those oids inside it reaches the store. It answers for `t`
+  *     alone.
   * An object the store does not return stays asked for.
   *
   * Answers are exactly what the store would return, in ascending oid order,
@@ -21,11 +27,12 @@ import repro.core.ObjSets.ObjSet
   * fails loudly when an answer breaks it.
   *
   * k/2-hop clusters every point it reads, except what HWMT read for
-  * candidates that died earlier in the same tree level, so a run's cache
-  * holds about `pointsProcessed` points. It has no size limit: drop the
-  * cache when the run ends. A `snapshot(t)` after a `select` at the same `t`
-  * reads the whole timestamp again (the store has no "rest of `t`" access
-  * path); k/2-hop takes all its snapshots before its first select.
+  * candidates that died earlier in the same tree level and what
+  * `selectAround` read ahead for convoys that died earlier in the span, so a
+  * run's cache holds about `pointsProcessed` points. It has no size limit:
+  * drop the cache when the run ends. A `snapshot(t)` after a `select` at the
+  * same `t` reads the whole timestamp again (the store has no "rest of `t`"
+  * access path); k/2-hop takes all its snapshots before its first select.
   */
 final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
   import PointCache.At
@@ -46,6 +53,17 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     }
   }
 
+  override def snapshots(times: Seq[Int]): Seq[Array[Pt]] = {
+    val ask = times.distinct.filter { t => val at = cache.getOrNull(t); (at eq null) || (at.asked ne null) }
+    if (ask.nonEmpty) {
+      val answers = store.snapshots(ask)
+      if (answers.length != ask.length)
+        throw new IllegalStateException(s"snapshots answered ${answers.length} of ${ask.length} timestamps")
+      ask.lazyZip(answers).foreach((t, pts) => cache(t) = new At(pts, null))
+    }
+    times.map(cache(_).pts)
+  }
+
   override def select(t: Int, oids: ObjSet): Array[Pt] = {
     val ask = uncovered(t, oids)
     if (ask.nonEmpty) add(t, ask, store.select(t, ask))
@@ -63,6 +81,23 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     reqs.map { case (t, oids) => lookup(t, oids) }
   }
 
+  override def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) = {
+    require(t0 <= t && t <= t1, s"[$t0, $t1] must hold $t")
+    val ask = uncovered(t, oids)
+    if (ask.nonEmpty) {
+      val (lo, got) = store.selectAround(t, ask, t0, t1)
+      if (lo < t0 || t < lo || lo.toLong + got.length <= t || lo.toLong + got.length - 1 > t1)
+        throw new IllegalStateException(s"selectAround($t, ..., $t0, $t1) answered the span [$lo, ${lo.toLong + got.length - 1}]")
+      got.iterator.zipWithIndex.foreach { case (pts, i) =>
+        val u = lo + i
+        val rest = uncovered(u, ask)
+        if (rest.length == ask.length) add(u, ask, pts)
+        else { check(u, ask, pts); if (rest.nonEmpty) add(u, rest, Pts.select(pts, rest)) }
+      }
+    }
+    (t, Seq(lookup(t, oids)))
+  }
+
   /** The oids of `oids` not yet asked for at `t`. */
   private def uncovered(t: Int, oids: ObjSet): ObjSet = {
     val at = cache.getOrNull(t)
@@ -75,10 +110,7 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     * cache. `got` must be a subsequence of `ask`: in oid order, asked for.
     */
   private def add(t: Int, ask: ObjSet, got: Array[Pt]): Unit = {
-    var g = 0
-    ask.foreach(oid => if (g < got.length && got(g).oid == oid) g += 1)
-    if (g != got.length)
-      throw new IllegalStateException(s"select($t, ...) returned points out of oid order or not asked for")
+    check(t, ask, got)
     val at = cache.getOrNull(t)
     if (at eq null) cache(t) = new At(got, ask)
     else {
@@ -86,6 +118,14 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
       at.pts = Pts.union(at.pts, got)
       at.asked = ObjSets.union(at.asked, ask)
     }
+  }
+
+  /** Fail unless `got`, the store's answer at `t`, is a subsequence of `ask`. */
+  private def check(t: Int, ask: ObjSet, got: Array[Pt]): Unit = {
+    var g = 0
+    ask.foreach(oid => if (g < got.length && got(g).oid == oid) g += 1)
+    if (g != got.length)
+      throw new IllegalStateException(s"select($t, ...) returned points out of oid order or not asked for")
   }
 
   private def lookup(t: Int, oids: ObjSet): Array[Pt] = {

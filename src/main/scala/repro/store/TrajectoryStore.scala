@@ -6,10 +6,16 @@ import repro.core.ObjSets.ObjSet
 /** Storage substrate for trajectory data, matching §5 of the paper.
   *
   * k/2-hop reads points in two ways:
-  *   1. `snapshot(t)` — full scan of one timestamp (benchmark points);
-  *   2. point access by (timestamp, object id): `select(t, oids)` for
-  *      extension and validation, and `selectMany` for many `(t, oids)` at
-  *      once (HWMT reads one tree level across hop-windows this way).
+  *   1. full scans of timestamps: `snapshot(t)`, and `snapshots(times)` for all
+  *      benchmark points at once;
+  *   2. point access by (timestamp, object id): `select(t, oids)`;
+  *      `selectMany` for many `(t, oids)` at once (HWMT reads one tree level
+  *      across hop-windows this way); and `selectAround` for `select`'s
+  *      answers over a span of timestamps (extension and validation read
+  *      one hop-window's interior this way).
+  *
+  * The batched members default to one `snapshot` or `select` per timestamp;
+  * a store whose round trip is costly overrides them.
   *
   * Implementations also maintain I/O counters so benches can report the
   * storage-level cost alongside the algorithm-level "points processed"
@@ -39,6 +45,23 @@ trait TrajectoryStore extends AutoCloseable {
     * own `select`.
     */
   def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = reqs.map { case (t, oids) => select(t, oids) }
+
+  /** One `snapshot` answer per timestamp of `times`, in order (repeats and
+    * timestamps outside `[ts, te]` included); by default each is its own
+    * `snapshot`.
+    */
+  def snapshots(times: Seq[Int]): Seq[Array[Pt]] = times.map(snapshot)
+
+  /** `select(u, oids)` for every `u` of a span `[lo, lo + n)` that holds `t`
+    * and lies inside `[t0, t1]` (which must hold `t`), as `(lo, answers)`
+    * with `n` answers. Which span is the store's choice: by default only `t`
+    * is read, and a store with a costly round trip reads the whole `[t0, t1]`
+    * in one.
+    */
+  def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) = {
+    require(t0 <= t && t <= t1, s"[$t0, $t1] must hold $t")
+    (t, Seq(select(t, oids)))
+  }
 
   /** Number of points materialized from storage since the last reset. */
   def pointsRead: Long

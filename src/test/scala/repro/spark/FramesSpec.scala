@@ -48,4 +48,16 @@ class FramesSpec extends SparkSpec {
   test("a NaN coordinate fails every Spark miner") {
     for ((name, run) <- miners) rejects(name, frame((8, 0, Double.NaN, 0.0)), run)
   }
+
+  // With k = 4 the benchmark points are 0, 2, 4, ..., so Spark k2's readers
+  // never read t = 1 for object 9: only the one check over the whole frame
+  // sees these rows.
+  test("a duplicate (t, oid) row at a timestamp that is no benchmark point fails every Spark miner") {
+    for ((name, run) <- miners) rejects(name, frame((9, 1, 500.0, 0.0)), run)
+  }
+
+  test("a NaN or infinite coordinate at a timestamp that is no benchmark point fails every Spark miner") {
+    for ((name, run) <- miners; bad <- Seq((8, 1, Double.NaN, 0.0), (8, 1, 0.0, Double.NegativeInfinity)))
+      rejects(s"$name, $bad", frame(bad), run)
+  }
 }

@@ -5,7 +5,8 @@ import scala.util.Random
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.{ObjSets, Pt}
+import repro.TestData
+import repro.core.{KHalfHop, ObjSets, Pt}
 import repro.core.ObjSets.ObjSet
 import repro.store.RecordingStore.Call
 
@@ -117,6 +118,144 @@ class PointCacheSpec extends AnyFunSuite {
       }
       finally opened.foreach(_._2.close())
     }
+  }
+
+  test("random snapshots/selectAround sequences: each miss asks the store once, for the uncovered oids, and files the span it answered") {
+    for (seed <- 1 to 4) {
+      val rng = new Random(200 + seed)
+      val data = randomData(rng)
+      def someT = Ts - 1 + rng.nextInt(Te - Ts + 3)
+      // Each op is a snapshots (0) of a few timestamps, repeats and
+      // out-of-range ones included, or a selectAround (1 to 3) over a window
+      // of up to 2 timestamps on either side of t.
+      val ops = Vector.fill(40)((rng.nextInt(4), Vector.fill(1 + rng.nextInt(3))(someT),
+        ObjSets.of(oidPool.filter(_ => rng.nextInt(3) == 0)), rng.nextInt(3), rng.nextInt(3)))
+      val opened = stores(data)
+      try opened.foreach { case (name, store) =>
+        val recorder = new RecordingStore(store)
+        val cache = new PointCache(recorder)
+        val full = mutable.Set.empty[Int]
+        val covered = mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
+        def uncovered(t: Int, oids: ObjSet) = if (full(t)) ObjSets.empty else oids.filterNot(covered(t))
+        ops.zipWithIndex.foreach { case ((kind, times, oids, before, after), i) =>
+          val (calls, batches, snaps, spans) = (recorder.calls.length, recorder.batches.length, recorder.snapshotBatches.length, recorder.spans.length)
+          val t = times.head
+          val (t0, t1) = (t - before, t + after)
+          if (kind == 0) {
+            val ctx = s"$name seed $seed op $i snapshots($times)"
+            val asked = times.distinct.filterNot(full)
+            assert(cache.snapshots(times).map(_.toSeq) == times.map(data.snapshot(_).toSeq), ctx)
+            assert(recorder.snapshotBatches.drop(snaps) == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
+            assert(recorder.spans.length == spans, ctx)
+            full ++= times
+          } else {
+            val ctx = s"$name seed $seed op $i selectAround($t, $oids, $t0, $t1)"
+            val missing = uncovered(t, oids)
+            val (lo, got) = cache.selectAround(t, oids, t0, t1)
+            assert(lo == t && got.map(_.toSeq) == Seq(data.select(t, oids).toSeq), ctx)
+            val made = recorder.spans.drop(spans).toSeq
+            if (missing.isEmpty) assert(made.isEmpty, ctx)
+            else {
+              // DuckDB reads the window clipped to [Ts, Te]; the other stores read t alone.
+              val span = if (name != "rdbms" || t < Ts || t > Te) (t, 1) else (t0 max Ts, (t1 min Te) - (t0 max Ts) + 1)
+              assert(made.map(a => (a.t, a.oids, a.t0, a.t1, (a.lo, a.n))) == Seq((t, missing, t0, t1, span)), ctx)
+              (span._1 until span._1 + span._2).foreach(u => covered(u) ++= missing)
+            }
+            assert(recorder.snapshotBatches.length == snaps, ctx)
+          }
+          assert(recorder.calls.length == calls + recorder.snapshotBatches.drop(snaps).map(_.length).sum, s"$name seed $seed op $i")
+          assert(recorder.batches.length == batches, s"$name seed $seed op $i")
+          // Whatever the store answered is cached: reading it again is free.
+          val (marks, spansNow) = (recorder.calls.length, recorder.spans.length)
+          for (u <- Ts - 1 to Te + 1 if full(u) || covered(u).nonEmpty) {
+            val known = if (full(u)) oids else ObjSets.of(covered(u))
+            assert(cache.select(u, known).toSeq == data.select(u, known).toSeq, s"$name seed $seed op $i, select($u)")
+          }
+          assert(recorder.calls.length == marks && recorder.spans.length == spansNow, s"$name seed $seed op $i, cached reads")
+        }
+      }
+      finally opened.foreach(_._2.close())
+    }
+  }
+
+  test("after one selectAround on a span store, a select anywhere in the span makes no store call") {
+    val data = randomData(new Random(7))
+    val store = RdbmsStore.create(data)
+    try {
+      val recorder = new RecordingStore(store)
+      val cache = new PointCache(recorder)
+      val oids = ObjSets.of(oidPool)
+      assert(cache.selectAround(Ts + 3, oids, Ts, Te)._2.map(_.toSeq) == Seq(data.select(Ts + 3, oids).toSeq))
+      assert(recorder.spans.toSeq.map(a => (a.lo, a.n)) == Seq((Ts, Te - Ts + 1)))
+      for (t <- Ts to Te; sub <- Seq(oids, ObjSets.of(Seq(Int.MinValue, 0, 64, Int.MaxValue)), ObjSets.of(Seq(12345)))) {
+        assert(cache.select(t, sub).toSeq == data.select(t, sub).toSeq, s"select($t, $sub)")
+        assert(cache.selectAround(t, sub, t, Te)._2.map(_.toSeq) == Seq(data.select(t, sub).toSeq), s"selectAround($t, $sub)")
+      }
+      assert(recorder.calls.isEmpty && recorder.batches.isEmpty && recorder.spans.length == 1)
+      assert(store.pointsRead == data.totalPoints, "the span read every stored point once")
+    } finally store.close()
+  }
+
+  /** `store` behind only the abstract members of `TrajectoryStore`: the
+    * batched ones keep their per-timestamp defaults.
+    */
+  private final class Plain(store: TrajectoryStore) extends TrajectoryStore {
+    override def ts: Int = store.ts
+    override def te: Int = store.te
+    override def totalPoints: Long = store.totalPoints
+    override def snapshot(t: Int): Array[Pt] = store.snapshot(t)
+    override def select(t: Int, oids: ObjSet): Array[Pt] = store.select(t, oids)
+    override def pointsRead: Long = store.pointsRead
+    override def resetCounters(): Unit = store.resetCounters()
+  }
+
+  test("on a store without overrides, the cache asks for exactly what snapshot and select ask for") {
+    for (seed <- 1 to 4) {
+      val rng = new Random(300 + seed)
+      val data = randomData(rng)
+      def someT = Ts - 1 + rng.nextInt(Te - Ts + 3)
+      val ops = Vector.fill(60)((rng.nextInt(5), Vector.fill(1 + rng.nextInt(3))(someT), ObjSets.of(oidPool.filter(_ => rng.nextBoolean()))))
+      val viaSelect = new RecordingStore(new MemStore(data))
+      val viaAround = new RecordingStore(new MemStore(data))
+      val (bySelect, byAround) = (new PointCache(new Plain(viaSelect)), new PointCache(new Plain(viaAround)))
+      ops.foreach { case (kind, times, oids) =>
+        val t = times.head
+        if (kind == 0) {
+          times.distinct.foreach(bySelect.snapshot)
+          assert(byAround.snapshots(times).map(_.toSeq) == times.map(data.snapshot(_).toSeq))
+        } else {
+          bySelect.select(t, oids)
+          assert(byAround.selectAround(t, oids, t - rng.nextInt(3), t + rng.nextInt(3))._2.head.toSeq == data.select(t, oids).toSeq)
+        }
+      }
+      assert(viaAround.calls == viaSelect.calls, s"seed $seed")
+      assert(viaAround.spans.isEmpty && viaAround.snapshotBatches.isEmpty, s"seed $seed")
+    }
+  }
+
+  test("k/2-hop offers selectAround the interior of t's hop-window; with k = 2 or 3 (hop 1), t alone") {
+    var spans = 0
+    for (seed <- 1L to 6L; k <- Seq(2, 3, 4, 7, 10)) {
+      val data = TestData.randomTiny(seed, 8, 30)
+      val p = KHalfHop.Params(2, k, TestData.GridEps)
+      val store = RdbmsStore.create(data)
+      try {
+        val recorder = new RecordingStore(store)
+        val ctx = s"seed $seed, k $k"
+        assert(KHalfHop.run(recorder, p)._1 == KHalfHop.run(new MemStore(data), p)._1, ctx)
+        val h = k / 2
+        recorder.spans.foreach { a =>
+          val b = data.ts + (a.t - data.ts) / h * h
+          assert((a.t0, a.t1) == (if (b == a.t) (a.t, a.t) else (b + 1, math.min(b + h - 1, data.te))), s"$ctx: $a")
+        }
+        // Hop 1: every timestamp is a benchmark point, read whole by the one
+        // snapshots call, and no read goes past it.
+        if (h == 1) assert(recorder.spans.forall(a => a.lo == a.t && a.n == 1) &&
+          recorder.snapshotBatches.toSeq == Seq(data.ts to data.te) && store.pointsRead == data.totalPoints, ctx)
+        spans += recorder.spans.length
+      } finally store.close()
+    }
+    assert(spans > 0, "no extension or validation read reached the store")
   }
 
   private val data = TrajData(0, 1, Array(

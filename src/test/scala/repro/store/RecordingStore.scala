@@ -6,14 +6,21 @@ import repro.core.Pt
 import repro.core.ObjSets.ObjSet
 
 /** Test decorator that records every call it forwards to `underlying` and
-  * every `(t, oid)` the underlying store returned. A `selectMany` is one
-  * entry of `batches`, not one `calls` entry per request.
+  * every `(t, oid)` the underlying store returned. It forwards the batched
+  * members too, so a decorated store keeps its own overrides of them:
+  *   - a `selectMany` is one entry of `batches`, not one `calls` entry per
+  *     request;
+  *   - a `snapshots` is one entry of `snapshotBatches`, and one snapshot
+  *     `calls` entry per timestamp it asked for;
+  *   - a `selectAround` is one entry of `spans`, with the span it answered.
   */
 class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
-  import RecordingStore.Call
+  import RecordingStore.{Around, Call}
 
   val calls = mutable.ArrayBuffer.empty[Call]
   val batches = mutable.ArrayBuffer.empty[Seq[(Int, ObjSet)]]
+  val snapshotBatches = mutable.ArrayBuffer.empty[Seq[Int]]
+  val spans = mutable.ArrayBuffer.empty[Around]
   val returned = mutable.ArrayBuffer.empty[(Int, Int)]
 
   override def ts: Int = underlying.ts
@@ -31,6 +38,20 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
     got
   }
 
+  override def snapshots(times: Seq[Int]): Seq[Array[Pt]] = {
+    snapshotBatches += times
+    val got = underlying.snapshots(times)
+    times.lazyZip(got).foreach((t, pts) => record(Call(t, None), pts))
+    got
+  }
+
+  override def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) = {
+    val (lo, got) = underlying.selectAround(t, oids, t0, t1)
+    spans += Around(t, oids, t0, t1, lo, got.length)
+    got.iterator.zipWithIndex.foreach { case (pts, i) => returned ++= pts.iterator.map(p => (lo + i, p.oid)) }
+    (lo, got)
+  }
+
   private def record(c: Call, pts: Array[Pt]): Array[Pt] = {
     calls += c
     returned ++= pts.iterator.map(p => (c.t, p.oid))
@@ -45,4 +66,7 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
 object RecordingStore {
   /** One store call: a snapshot of `t` when `oids` is `None`, else a select. */
   final case class Call(t: Int, oids: Option[ObjSet])
+
+  /** One `selectAround(t, oids, t0, t1)`, answered over `[lo, lo + n)`. */
+  final case class Around(t: Int, oids: ObjSet, t0: Int, t1: Int, lo: Int, n: Int)
 }

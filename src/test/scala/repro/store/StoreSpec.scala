@@ -1,9 +1,14 @@
 package repro.store
 
+import scala.collection.mutable
+
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestData
 import repro.core.{Convoy, KHalfHop, ObjSets, Pt}
+import repro.core.ObjSets.ObjSet
 import repro.data.TrajGen
 
 /** The three storage substrates must serve byte-identical data; they differ
@@ -105,6 +110,74 @@ class StoreSpec extends AnyFunSuite {
         if (name != "file") assert(s.pointsRead == got.map(_.length).sum, ctx)
       }
     }
+  }
+
+  /** Random datasets for the batched access paths: up to 7 timestamps, some
+    * empty, starting at 0, below 0 or at either end of the `Int` range; oids
+    * drawn from a pool with extremes, negatives and gaps of exactly `RunGap`
+    * and `RunGap + 1`, where `RdbmsStore` does or does not start a new range,
+    * and `RunGap / 2` between 0 and `RunGap`, which a range read of those two
+    * reads but must not return.
+    */
+  private val G = RdbmsStore.RunGap
+  private val pool = Vector(Int.MinValue, Int.MinValue + G, -200, -200 + G + 1, -200 + 2 * G + 1, -1, 0, G / 2, G, 2 * G + 1,
+    5000, Int.MaxValue - G - 1, Int.MaxValue)
+
+  private val genData: Gen[TrajData] = for {
+    n <- Gen.choose(1, 7)
+    ts <- Gen.oneOf(0L, -3L, Int.MinValue.toLong, Int.MaxValue.toLong - n + 1)
+    byTime <- Gen.listOfN(n, Gen.frequency(1 -> Gen.const(Nil), 3 -> Gen.someOf(pool)))
+    coords <- Gen.listOfN(2 * n * pool.length, Gen.choose(-100.0, 100.0)).map(_.toArray)
+  } yield TrajData(ts.toInt, (ts + n - 1).toInt, byTime.zipWithIndex.map { case (oids, i) =>
+    oids.sorted.zipWithIndex.map { case (o, j) => val c = 2 * (i * pool.length + j); Pt(o, coords(c), coords(c + 1)) }.toArray
+  }.toArray)
+
+  /** A timestamp up to 2 outside `[ts, te]`, clamped to the `Int` range. */
+  private def genT(d: TrajData): Gen[Int] =
+    Gen.choose(d.ts.toLong - 2, d.te.toLong + 2).map(t => math.max(Int.MinValue, math.min(Int.MaxValue, t)).toInt)
+
+  /** One read: `Left` a `snapshots` of repeated, unsorted and out-of-range
+    * timestamps, `Right` a `selectAround(t, oids, t0, t1)`, `t0 == t1` often.
+    */
+  private def genOps(d: TrajData): Gen[List[Either[List[Int], (Int, ObjSet, Int, Int)]]] = {
+    val snaps = Gen.listOf(genT(d)).map(Left(_))
+    val around = for {
+      t <- genT(d)
+      oids <- Gen.someOf(pool :+ 12345)
+      (a, b) <- Gen.frequency(1 -> Gen.const((0L, 0L)), 3 -> Gen.zip(Gen.choose(0L, 4L), Gen.choose(0L, 4L)))
+    } yield Right((t, ObjSets.of(oids), math.max(Int.MinValue, t - a).toInt, math.min(Int.MaxValue, t + b).toInt))
+    Gen.listOfN(8, Gen.frequency(1 -> snaps, 3 -> around))
+  }
+
+  /** `snapshots` and `selectAround` against `snapshot`, `select` and the data,
+    * on one store; `None` if they agree, else what went wrong.
+    */
+  private def batchedReadsAgree(d: TrajData, s: TrajectoryStore, ops: List[Either[List[Int], (Int, ObjSet, Int, Int)]]): Option[String] =
+    ops.iterator.map {
+      case Left(times) =>
+        val got = s.snapshots(times).map(_.toSeq)
+        Option.when(got != times.map(s.snapshot(_).toSeq) || got != times.map(d.snapshot(_).toSeq))(s"snapshots($times)")
+      case Right((t, oids, t0, t1)) =>
+        val (lo, got) = s.selectAround(t, oids, t0, t1)
+        val hi = lo.toLong + got.length - 1
+        val inSpan = lo <= t && t <= hi && t0 <= lo && hi <= t1
+        Option.when(!inSpan || got.indices.exists { i =>
+          val u = lo + i
+          got(i).toSeq != s.select(u, oids).toSeq || got(i).toSeq != d.select(u, oids).toSeq
+        })(s"selectAround($t, $oids, $t0, $t1) answered [$lo, $hi]")
+    }.collectFirst { case Some(e) => e }
+
+  test("property: snapshots and selectAround answer as snapshot and select on every store, and through a PointCache") {
+    val prop = Prop.forAllNoShrink(genData.flatMap(d => genOps(d).map((d, _)))) { case (d, ops) =>
+      val failures = mutable.ArrayBuffer.empty[String]
+      withStores(d) { (name, s) =>
+        batchedReadsAgree(d, s, ops).foreach(e => failures += s"$name: $e")
+        batchedReadsAgree(d, new PointCache(s), ops).foreach(e => failures += s"cache over $name: $e")
+      }
+      failures.isEmpty :| s"[${d.ts}, ${d.te}] ${d.byTime.map(_.map(_.oid).mkString("{", ",", "}")).mkString(" ")}: ${failures.mkString("; ")}"
+    }
+    val result = org.scalacheck.Test.check(org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(60), prop)
+    assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
   }
 
   test("select outside the time range is empty") {
