@@ -92,7 +92,9 @@ object KHalfHop {
 
   /** Step 5 of Algorithm 1 on the maximal spanning convoys `vm`: extend
     * right to `te`, then left to `ts`, and keep the maximal candidates of
-    * length >= k. Returns this pre-validation set.
+    * length >= k. Returns this pre-validation set. The left pass's `acc`
+    * grows only through `ConvoySets.update`, so no convoy in it covers
+    * another, and the k filter keeps that so.
     */
   def extend(
       select: (Int, ObjSet) => Array[Pt],
@@ -111,7 +113,7 @@ object KHalfHop {
     timer.phase("extL") {
       val acc = mutable.ArrayBuffer.empty[Convoy]
       rightClosed.foreach(v => Extend.extendOne(select, v, ts, forward = false, p.eps, p.m, counter, acc))
-      ConvoySets.maximal(acc.filter(_.len >= p.k))
+      acc.iterator.filter(_.len >= p.k).toVector
     }(_.length)
   }
 

@@ -20,9 +20,22 @@ object Merge {
 
   /** The maximal convoys that `parts`, swept in order, merge into. The
     * convoys of one part all start after the previous part's convoys end,
-    * or at that same timestamp: `parts(i)` holds hop-window i's spanning
-    * convoys (lifespan `[b_i, b_{i+1}]`), one timestamp's clusters, or one
-    * partition's convoys.
+    * or at that same timestamp, and end after them: `parts(i)` holds
+    * hop-window i's spanning convoys (lifespan `[b_i, b_{i+1}]`), one
+    * timestamp's clusters, or one partition's convoys.
+    *
+    * Under that contract the result is maximal as built, with no final
+    * pass over it:
+    *   - A convoy closed at step i is covered by no later live convoy. A
+    *     later live convoy is either new, and so starts after the closed one
+    *     ends, or grew from a live convoy one step earlier that has the same
+    *     start and a superset of its objects. Following that chain back to
+    *     step i gives a convoy of `next` that covers the closed one, which
+    *     the closing test ruled out.
+    *   - Convoys closed at different steps end in disjoint ranges, ordered
+    *     by step, so a later one is not covered by an earlier one.
+    *   - Convoys closed at the same step come from one live set, which is
+    *     maximal.
     */
   def mergeSpanning(parts: IndexedSeq[Vector[Convoy]], m: Int): Vector[Convoy] = {
     val closed = Vector.newBuilder[Convoy]
@@ -37,6 +50,6 @@ object Merge {
       closed ++= live.filterNot(a => next.exists(a.isSubOf))
       live = next
     }
-    ConvoySets.maximal(closed.result() ++ live)
+    closed.result() ++ live
   }
 }

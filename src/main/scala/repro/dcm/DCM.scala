@@ -20,7 +20,7 @@ import repro.store.TrajData
   * [[repro.core.Merge.mergeSpanning]], which joins a convoy that ends at a
   * partition's last timestamp to the next partition's convoys that start
   * one timestamp later with ≥ m shared objects, and finally applies the
-  * length filter and maximality.
+  * length filter to the sweep's maximal output.
   *
   * As in the paper, performance hinges on the data-dependent `lambda` —
   * exactly the tuning burden k/2-hop is designed to remove.
@@ -44,10 +44,11 @@ object DCM {
     val partials = timer.phase("local") {
       frame
         .as[(Int, Int, Double, Double)]
-        .groupByKey(r => (r._2 - tsMin) / lambda)
+        .groupByKey(r => ((r._2.toLong - tsMin) / lambda).toInt)
         .mapGroups { (part, rows) =>
-          val lo = tsMin + part * lambda
-          val hi = math.min(tsMax, lo + lambda - 1)
+          // In Long: `lo + lambda - 1` wraps for timestamps near Int.MaxValue.
+          val lo = (tsMin + part.toLong * lambda).toInt
+          val hi = math.min(tsMax.toLong, lo.toLong + lambda - 1).toInt
           val data = TrajData.fromPoints(lo, hi, rows.map(r => (r._2, Pt(r._1, r._3, r._4))).toVector)
           val counter = new PointCounter
           val local = PCCD.mine(lo to hi, t => counter.cluster(data.snapshot(t), eps, m), m)
@@ -61,7 +62,7 @@ object DCM {
       val byPart = partials.iterator.map { case (i, cs, _) =>
         i -> cs.map { case (o, a, b) => Convoy(ObjSets.of(o), a, b) }.toVector
       }.toMap
-      val parts = (0 to (tsMax - tsMin) / lambda).map(byPart.getOrElse(_, Vector.empty))
+      val parts = (0 to ((tsMax.toLong - tsMin) / lambda).toInt).map(byPart.getOrElse(_, Vector.empty))
       Merge.mergeSpanning(parts, m).filter(_.len >= p.k)
     }(_.length)
 

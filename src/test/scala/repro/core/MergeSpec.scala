@@ -129,10 +129,30 @@ class MergeSpec extends AnyFunSuite {
       val data = TestData.randomTiny(seed, 8, 40)
       val clusters = (t: Int) => DBSCAN.cluster(data.snapshot(t), TestData.GridEps, m)
       val whole = ConvoySets.sorted(PCCD.mine(data.ts to data.te, clusters, m))
+      // `maximal` keeps order and only drops, so this holds iff the unsorted result is maximal.
+      assert(ConvoySets.maximal(whole) == whole, s"seed=$seed m=$m")
       for (lambda <- Seq(1, 2, 3, 7, 40)) {
         val parts = (data.ts to data.te).grouped(lambda).map(PCCD.mine(_, clusters, m)).toIndexedSeq
+        val r = Merge.mergeSpanning(parts, m)
+        assert(ConvoySets.maximal(r) == r, s"seed=$seed m=$m lambda=$lambda")
         assert(ConvoySets.sorted(Merge.mergeSpanning(parts, m)) == whole, s"seed=$seed m=$m lambda=$lambda")
       }
+    }
+  }
+
+  test("the sweep of hop-window parts is maximal as built") {
+    for (seed <- 1L to 300L; m <- Seq(2, 3); hop <- 1 to 3) {
+      val rng = new scala.util.Random(seed * 31 + m * 7 + hop)
+      // Each window holds disjoint object sets of >= m of 10 objects, or nothing.
+      val parts = IndexedSeq.tabulate(1 + rng.nextInt(8)) { w =>
+        if (rng.nextInt(4) == 0) Vector.empty[Convoy]
+        else {
+          val cuts = rng.shuffle((0 until 10).toVector).grouped(1 + rng.nextInt(5)).toVector
+          cuts.filter(_.length >= m).map(c => Convoy(ObjSets.of(c), w * hop, (w + 1) * hop))
+        }
+      }
+      val r = Merge.mergeSpanning(parts, m)
+      assert(ConvoySets.maximal(r) == r, s"seed=$seed m=$m hop=$hop parts=$parts")
     }
   }
 }

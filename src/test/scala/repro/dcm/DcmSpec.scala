@@ -55,6 +55,13 @@ class DcmSpec extends SparkSpec {
     assert(dcm == Vector(repro.core.Convoy(repro.core.ObjSets.of(Seq(0, 1)), 0, 19)))
   }
 
+  test("partitions near the ends of the Int range keep the whole convoy") {
+    for (t0 <- Seq(Int.MaxValue - 11, Int.MinValue); lambda <- Seq(4, 5, 7)) {
+      val (dcm, _) = DCM.run(spark, TrajGen.toDF(spark, TestData.trio(0, t0)), Params(3, 4, 1.5), lambda)
+      assert(dcm == Vector(repro.core.Convoy(repro.core.ObjSets.of(Seq(0, 1, 2)), t0, t0 + 11)), s"t0=$t0 lambda=$lambda")
+    }
+  }
+
   test("DCM returns no convoys on an empty frame") {
     val (dcm, report) = DCM.run(spark, TrajGen.toDF(spark, TrajData(0, -1, Array.empty)), Params(2, 3, 1.5), 4)
     assert(dcm.isEmpty)
