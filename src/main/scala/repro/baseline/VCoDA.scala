@@ -5,7 +5,7 @@ import repro.core.KHalfHop.Params
 import repro.core.ObjSets.ObjSet
 import repro.store.TrajectoryStore
 
-/** The VCoDA / VCoDA* sequential baselines (Yoon & Shahabi's valid-convoy
+/** The VCoDA / VCoDA* single-machine baselines (Yoon & Shahabi's valid-convoy
   * discovery pipeline, as benchmarked in §6): cluster *every* timestamp of
   * the dataset, grow maximal partially-connected convoys with PCCD, then
   * validate them to fully connected convoys with (corrected) DCVal.
@@ -14,6 +14,11 @@ import repro.store.TrajectoryStore
   * `indexed = true` is VCoDA* (grid-indexed neighbor search). Both touch
   * every point of the dataset — the cost k/2-hop exists to avoid — so their
   * runtime is essentially flat in k (Figures 7h/8a).
+  *
+  * Like k/2-hop's benchmark step, the `cluster` phase reads every snapshot
+  * on the calling thread and clusters them on the JVM's common fork-join
+  * pool ([[repro.core.PointCounter.clusterAll]]), so both get the same cores.
+  * PCCD and validation are sequential.
   */
 object VCoDA {
 
@@ -29,7 +34,7 @@ object VCoDA {
 
     val range = store.ts to store.te
     val clusters: Map[Int, Vector[ObjSet]] = timer.phase("cluster") {
-      range.iterator.map(t => t -> counter.cluster(store.snapshot(t), p.eps, p.m, indexed)).toMap
+      range.zip(counter.clusterAll(store.snapshots(range), p.eps, p.m, indexed)).toMap
     }(_.valuesIterator.map(_.length.toLong).sum)
 
     val maximal = timer.phase("mine")(PCCD.maximalConvoys(range, clusters, p.m, p.k))(_.length)

@@ -15,7 +15,7 @@ import ObjSets.ObjSet
   * right-closed convoy is extended to the left the same way; only then is
   * the minimum-length constraint k applied (a convoy too short after the
   * right pass may still reach k by growing left); `KHalfHop.extend` runs
-  * both passes for the sequential and the Spark driver.
+  * both passes for the single-JVM and the Spark driver.
   */
 object Extend {
 

@@ -14,6 +14,21 @@ final class PointCounter {
     add(pts.length)
     DBSCAN.cluster(pts, eps, m, indexed)
   }
+
+  /** [[cluster]] for every snapshot of `snaps`, answered in input order.
+    * All snapshots are counted first, on the calling thread; then each is
+    * clustered as its own task on the JVM's common fork-join pool.
+    * `DBSCAN.cluster` keeps all its state per call, so the tasks share
+    * nothing but their read-only input.
+    */
+  def clusterAll(snaps: Seq[Array[Pt]], eps: Double, m: Int, indexed: Boolean = true): Vector[Vector[ObjSet]] = {
+    val in = snaps.toArray
+    in.foreach(s => add(s.length))
+    val out = new Array[Vector[ObjSet]](in.length)
+    java.util.stream.IntStream.range(0, in.length).parallel()
+      .forEach(i => out(i) = DBSCAN.cluster(in(i), eps, m, indexed))
+    out.toVector
+  }
 }
 
 /** Hop-Window Mining Tree (Algorithm 2).

@@ -16,11 +16,15 @@ import repro.store.{PointCache, TrajectoryStore}
   * hop-window → DCM merge → right/left extension → FC validation, reported
   * as the [[RunReport]] phases `bench, cc, hwmt, merge, extR, extL, val`
   * together with the points fed to DBSCAN (Table 5). [[mine]] is its one
-  * body; the sequential [[run]] and the Spark driver
+  * body; the single-JVM [[run]] and the Spark driver
   * (`repro.spark.SparkKHalfHop`) supply only where the points come from.
-  * The sequential run reads through one per-run [[repro.store.PointCache]],
+  * [[run]] reads through one per-run [[repro.store.PointCache]],
   * so each `(t, oid)` is fetched from the store at most once: extension and
   * validation re-cluster points that the benchmark step and HWMT already read.
+  * Its one parallel step is the benchmark clustering: the snapshots of Step 2
+  * are independent, so [[PointCounter.clusterAll]] clusters them on the
+  * JVM's common fork-join pool. Every store read, and every other phase,
+  * runs on the calling thread.
   */
 object KHalfHop {
 
@@ -158,9 +162,10 @@ object KHalfHop {
   }
 
   /** Mine all maximal FC convoys of `store` and report the run. Every read
-    * goes through one [[repro.store.PointCache]], in one store call per kind
-    * where the store allows it:
-    *   - all benchmark snapshots in one `snapshots` call;
+    * goes through one [[repro.store.PointCache]] on the calling thread, in
+    * one store call per kind where the store allows it:
+    *   - all benchmark snapshots in one `snapshots` call, then clustered on
+    *     the common fork-join pool ([[PointCounter.clusterAll]]);
     *   - HWMT one tree level at a time across the hop-windows, each level in
     *     one `selectMany` call;
     *   - extension and validation through `selectAround`, offering the
@@ -181,7 +186,7 @@ object KHalfHop {
       got(t - lo)
     }
     mine(ts, te, p, counter)(
-      bps => cache.snapshots(bps).iterator.map(counter.cluster(_, p.eps, p.m)).toVector,
+      bps => counter.clusterAll(cache.snapshots(bps), p.eps, p.m),
       HWMT.mineWindows(cache.selectMany, _, _, p.eps, p.m, counter),
       _ => select,
     )

@@ -1,6 +1,6 @@
 package repro.core
 
-/** What one mining run reports, for every miner, sequential or Spark: its
+/** What one mining run reports, for every miner, single-JVM or Spark: its
   * phases in pipeline order and the points fed to DBSCAN (the pruning
   * statistic of Table 5). Each phase carries its wall time in µs (Figure 8i)
   * and its output size: clusters, candidates or convoys. The k/2-hop

@@ -48,6 +48,11 @@ object Experiments {
     "k2-LSMT"  -> (() => LsmStore.create(data)),
   )
 
+  /** Cores this JVM may use: k/2-hop and VCoDA cluster their snapshots on
+    * all of them, so the figures that time them name the count.
+    */
+  private def cores: Int = Runtime.getRuntime.availableProcessors
+
   /** Wall time of a run in ms, as the experiments print it. */
   def ms(r: RunReport): Double = r.totalUs / 1e3
 
@@ -139,7 +144,7 @@ object Experiments {
   // mean/max over an (m, eps) grid).
   // ------------------------------------------------------------------
   def gainOverVCoDA(name: String, scale: Double, ks: Seq[Int] = Seq(20, 60, 120)): String = report { sb =>
-    emit(sb, s"== Fig 7a/7b: gain over VCoDA* on $name ==")
+    emit(sb, s"== Fig 7a/7b: gain over VCoDA* on $name ($cores cores) ==")
     val data = dataset(name, scale)
     val grid = for (m <- Seq(3, 6); eps <- Seq(15.0, 25.0)) yield (m, eps)
     for (k <- ks; variant <- Seq("k2-RDBMS", "k2-LSMT")) {
@@ -201,7 +206,7 @@ object Experiments {
   // Fig 8i: phase breakdown of k2-LSMT; Fig 8j: pre-validation counts.
   // ------------------------------------------------------------------
   def phasesAndPreValidation(name: String, scale: Double, ks: Seq[Int] = Seq(20, 40, 60, 100, 150)): String = report { sb =>
-    emit(sb, s"== Fig 8i/8j: k2-LSMT phase times and pre-validation convoy counts on $name ==")
+    emit(sb, s"== Fig 8i/8j: k2-LSMT phase times and pre-validation convoy counts on $name ($cores cores) ==")
     val data = dataset(name, scale)
     val store = LsmStore.create(data)
     try {
@@ -283,7 +288,7 @@ object Experiments {
   val Dcm: SparkBaseline = SparkBaseline("7g", "DCM", (s, df, p) => DCM.run(s, df, p, lambda = p.k)._2,
     _ => "", "paper: k/2-hop up to 140x faster than DCM on a 4-node cluster")
 
-  /** Gain of the sequential k2-LSMT over the Spark baseline `b` on every
+  /** Gain of the single-JVM k2-LSMT over the Spark baseline `b` on every
     * dataset; each side is the median of 3 timed runs (see `medianOf3`).
     */
   def gainOverSpark(spark: SparkSession, b: SparkBaseline, scales: Map[String, Double]): String = report { sb =>

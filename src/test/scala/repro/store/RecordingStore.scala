@@ -13,6 +13,8 @@ import repro.core.ObjSets.ObjSet
   *   - a `snapshots` is one entry of `snapshotBatches`, and one snapshot
   *     `calls` entry per timestamp it asked for;
   *   - a `selectAround` is one entry of `spans`, with the span it answered.
+  *
+  * `threads` holds every thread that called one of the read members.
   */
 class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
   import RecordingStore.{Around, Call}
@@ -22,6 +24,7 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
   val snapshotBatches = mutable.ArrayBuffer.empty[Seq[Int]]
   val spans = mutable.ArrayBuffer.empty[Around]
   val returned = mutable.ArrayBuffer.empty[(Int, Int)]
+  val threads: java.util.Set[Thread] = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
 
   override def ts: Int = underlying.ts
   override def te: Int = underlying.te
@@ -32,6 +35,7 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
   override def select(t: Int, oids: ObjSet): Array[Pt] = record(Call(t, Some(oids)), underlying.select(t, oids))
 
   override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = {
+    caller()
     batches += reqs
     val got = underlying.selectMany(reqs)
     reqs.lazyZip(got).foreach { case ((t, _), pts) => returned ++= pts.iterator.map(p => (t, p.oid)) }
@@ -46,13 +50,17 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
   }
 
   override def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) = {
+    caller()
     val (lo, got) = underlying.selectAround(t, oids, t0, t1)
     spans += Around(t, oids, t0, t1, lo, got.length)
     got.iterator.zipWithIndex.foreach { case (pts, i) => returned ++= pts.iterator.map(p => (lo + i, p.oid)) }
     (lo, got)
   }
 
+  private def caller(): Unit = threads.add(Thread.currentThread())
+
   private def record(c: Call, pts: Array[Pt]): Array[Pt] = {
+    caller()
     calls += c
     returned ++= pts.iterator.map(p => (c.t, p.oid))
     pts

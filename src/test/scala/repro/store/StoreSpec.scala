@@ -7,6 +7,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestData
+import repro.baseline.VCoDA
 import repro.core.{Convoy, KHalfHop, ObjSets, Pt}
 import repro.core.ObjSets.ObjSet
 import repro.data.TrajGen
@@ -253,6 +254,21 @@ class StoreSpec extends AnyFunSuite {
       withStores(trio) { (name, s) =>
         assert(KHalfHop.run(s, KHalfHop.Params(3, 4, 1.5))._1 == want, s"$name, oid $oid, t0 $t0")
       }
+    }
+  }
+
+  test("k/2-hop and VCoDA make every store call on the thread that called them") {
+    // Only the clustering of snapshots runs on the fork-join pool: DuckDB's
+    // connection and PointCache's maps are not thread-safe.
+    val p = KHalfHop.Params(3, 20, 25.0)
+    val me = java.util.Set.of(Thread.currentThread())
+    withStores(data) { (name, s) =>
+      val k2 = new RecordingStore(s)
+      KHalfHop.run(k2, p)
+      assert(k2.snapshotBatches.nonEmpty && k2.threads == me, s"k/2-hop on $name: ${k2.threads}")
+      val vcoda = new RecordingStore(s)
+      VCoDA.run(vcoda, p, indexed = true)
+      assert(vcoda.calls.nonEmpty && vcoda.threads == me, s"VCoDA on $name: ${vcoda.threads}")
     }
   }
 
