@@ -13,8 +13,9 @@ import repro.core.ObjSets.ObjSet
   *
   * Sweeps timestamps in order with the one convoy sweep,
   * [[repro.core.Merge.mergeSpanning]], over each timestamp's clusters taken
-  * as convoys `[t, t]`: every live candidate is intersected with every
-  * cluster, fresh clusters seed new candidates, a candidate that another
+  * as convoys `[t, t]`: every live candidate is intersected with the
+  * clusters that hold at least m of its objects (one set join per
+  * timestamp), fresh clusters seed new candidates, a candidate that another
   * live candidate covers (its objects, from an equal-or-earlier start) is
   * dropped, and a candidate that can no longer continue intact is emitted
   * as a (maximal) convoy.

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 import ObjSets.ObjSet
@@ -41,57 +40,14 @@ object KHalfHop {
   def benchmarkPoints(ts: Int, te: Int, k: Int): Vector[Int] = (ts to te by (k / 2)).toVector
 
   /** Candidate clusters per hop-window (Lemma 5): the intersections of the
-    * cluster sets at adjacent benchmark points that keep at least m objects.
-    * `benchClusters(i)` holds the clusters at benchmark point b_i; the
-    * clusters of one benchmark point are disjoint, as DBSCAN's are. For each
-    * cluster `a` of b_i, its intersections follow the order of b_{i+1}'s
-    * clusters.
+    * cluster sets at adjacent benchmark points that keep at least m objects,
+    * one [[ObjSets.meets]] join per hop-window. `benchClusters(i)` holds the
+    * clusters at benchmark point b_i. For each cluster `a` of b_i, its
+    * intersections follow the order of b_{i+1}'s clusters.
     */
   def candidates(benchClusters: Vector[Vector[ObjSet]], m: Int): Vector[Vector[ObjSet]] = {
     require(m >= 1, "candidate size m must be >= 1")
-    (0 until benchClusters.length - 1).toVector.map(i => split(benchClusters(i), benchClusters(i + 1), m))
-  }
-
-  /** Lemma 5 for one hop-window: split every cluster of `cs` by the cluster
-    * of `next` that holds each member, in one pass over its members, and
-    * keep the parts of at least `m` objects.
-    */
-  private def split(cs: Vector[ObjSet], next: Vector[ObjSet], m: Int): Vector[ObjSet] = {
-    if (cs.isEmpty || next.isEmpty) return Vector.empty
-    // oid -> index of its cluster in `next`, as (oid << 32 | index) sorted by oid.
-    val owners = new Array[Long](next.iterator.map(_.length).sum)
-    var w = 0
-    var j = 0
-    while (j < next.length) {
-      next(j).foreach { o => owners(w) = (o.toLong << 32) | j; w += 1 }
-      j += 1
-    }
-    java.util.Arrays.sort(owners)
-    val oids = owners.map(e => (e >> 32).toInt)
-
-    // The members of one cluster found in `next`, as (owner << 32 | position).
-    val hits = new Array[Long](cs.iterator.map(_.length).max)
-    val out = Vector.newBuilder[ObjSet]
-    cs.foreach { a =>
-      var h = 0
-      var lo = 0
-      var p = 0
-      while (p < a.length && lo < oids.length) {
-        val at = java.util.Arrays.binarySearch(oids, lo, oids.length, a(p))
-        if (at >= 0) { hits(h) = (owners(at).toInt.toLong << 32) | p; h += 1; lo = at + 1 }
-        else lo = -at - 1
-        p += 1
-      }
-      java.util.Arrays.sort(hits, 0, h)
-      var s = 0
-      while (s < h) {
-        var e = s + 1
-        while (e < h && (hits(e) >>> 32) == (hits(s) >>> 32)) e += 1
-        if (e - s >= m) out += ArraySeq.unsafeWrapArray(Array.tabulate(e - s)(g => a(hits(s + g).toInt)))
-        s = e
-      }
-    }
-    out.result()
+    (0 until benchClusters.length - 1).toVector.map(i => ObjSets.meets(benchClusters(i), benchClusters(i + 1), m).map(_._3))
   }
 
   /** Step 5 of Algorithm 1 on the maximal spanning convoys `vm`: extend

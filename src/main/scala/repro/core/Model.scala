@@ -86,6 +86,48 @@ object ObjSets {
     ArraySeq.unsafeWrapArray(out.result())
   }
 
+  /** The set join of two lists: every `(i, j, as(i) ∩ bs(j))` whose
+    * intersection keeps at least `m` objects, ordered by `i`, then `j`.
+    * Each member of `as(i)` is looked up once in one oid-sorted owner array
+    * of `bs`, and charged to every set of `bs` that holds it, so the sets of
+    * `bs` may overlap. Pairs that share no object cost nothing. `m` is at
+    * least 1.
+    */
+  def meets(as: IndexedSeq[ObjSet], bs: IndexedSeq[ObjSet], m: Int): Vector[(Int, Int, ObjSet)] = {
+    // (oid << 32 | j) for every member of bs(j), sorted by oid, then j.
+    val owners = new Array[Long](bs.iterator.map(_.length).sum)
+    var w = 0
+    for (j <- bs.indices; o <- bs(j)) { owners(w) = (o.toLong << 32) | j; w += 1 }
+    java.util.Arrays.sort(owners)
+
+    // The members of one set of `as` found in `bs`, as (j << 32 | position).
+    var hits = new Array[Long](64)
+    val out = Vector.newBuilder[(Int, Int, ObjSet)]
+    for (i <- as.indices) {
+      val a = as(i)
+      var h = 0; var lo = 0; var p = 0
+      while (p < a.length && lo < owners.length) {
+        // The first owner of a(p): its entry for j = 0, or where that would go.
+        val at = java.util.Arrays.binarySearch(owners, lo, owners.length, a(p).toLong << 32)
+        lo = if (at >= 0) at else -at - 1
+        while (lo < owners.length && (owners(lo) >> 32) == a(p)) {
+          if (h == hits.length) hits = java.util.Arrays.copyOf(hits, 2 * h)
+          hits(h) = (owners(lo) << 32) | p; h += 1; lo += 1
+        }
+        p += 1
+      }
+      java.util.Arrays.sort(hits, 0, h)
+      var s = 0
+      while (s < h) {
+        var e = s + 1
+        while (e < h && (hits(e) >>> 32) == (hits(s) >>> 32)) e += 1
+        if (e - s >= m) out += ((i, (hits(s) >>> 32).toInt, ArraySeq.unsafeWrapArray(Array.tabulate(e - s)(g => a(hits(s + g).toInt)))))
+        s = e
+      }
+    }
+    out.result()
+  }
+
   /** Sorted-set union (two-pointer). */
   def union(a: ObjSet, b: ObjSet): ObjSet = {
     val out = new mutable.ArrayBuilder.ofInt

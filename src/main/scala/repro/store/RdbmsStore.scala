@@ -15,7 +15,7 @@ import repro.core.ObjSets.ObjSet
   * Access paths match the paper, and each answers in one round trip, which
   * costs about a millisecond whatever it returns:
   *   - benchmark snapshots: `snapshots` reads all of them in one query with
-  *     an IN-list of the timestamps, `snapshot` one with `WHERE t = ?`;
+  *     an IN-list of the timestamps, and `snapshot` is its one-timestamp case;
   *   - point reads: `WHERE t BETWEEN ? AND ? AND oid BETWEEN ? AND ?` range
   *     reads over the index. `selectAround` reads the whole span `[t0, t1]`
   *     this way, and `select` is its one-timestamp case;
@@ -32,9 +32,6 @@ final class RdbmsStore private (
 ) extends CountingStore {
   import RdbmsStore.RunGap
 
-  private val snapshotStmt =
-    conn.prepareStatement("SELECT oid, x, y FROM traj WHERE t = ? ORDER BY oid")
-
   // Point reads reuse one prepared range statement over the (t, oid) index:
   // the sorted oid set is split into dense runs and each run is fetched over
   // the whole span with an index range scan (same plan a clustered B-tree
@@ -43,17 +40,11 @@ final class RdbmsStore private (
   private val spanStmt = conn.prepareStatement(
     "SELECT t, oid, x, y FROM traj WHERE t BETWEEN ? AND ? AND oid BETWEEN ? AND ? ORDER BY t, oid")
 
-  override def snapshot(t: Int): Array[Pt] = {
-    snapshotStmt.setInt(1, t)
-    val rs = snapshotStmt.executeQuery()
-    val out = ArrayBuffer.empty[Pt]
-    while (rs.next()) out += Pt(rs.getInt(1), rs.getDouble(2), rs.getDouble(3))
-    rs.close()
-    charge(out.toArray)
-  }
+  override def snapshot(t: Int): Array[Pt] = snapshots(Seq(t)).head
 
   /** All timestamps in one query: the JDBC driver has no array parameters,
-    * so they travel as an IN-list of integer literals.
+    * so they travel as an IN-list of integer literals. `snapshot` is its
+    * one-timestamp case.
     */
   override def snapshots(times: Seq[Int]): Seq[Array[Pt]] = {
     val wanted = times.filter(t => t >= ts && t <= te).distinct
@@ -135,7 +126,7 @@ final class RdbmsStore private (
         byTime.getOrElseUpdate(rs.getInt(1), ArrayBuffer.empty[Pt]) += Pt(oid, rs.getDouble(3), rs.getDouble(4))
     } finally rs.close()
 
-  override def close(): Unit = { snapshotStmt.close(); spanStmt.close(); batchStmt.close(); conn.close() }
+  override def close(): Unit = { spanStmt.close(); batchStmt.close(); conn.close() }
 }
 
 object RdbmsStore {

@@ -6,7 +6,9 @@ import scala.util.Random
 
 import ObjSets.ObjSet
 
-/** Lemma 5: `KHalfHop.candidates` against the pairwise definition. */
+/** Lemma 5: `KHalfHop.candidates` and its set join, `ObjSets.meets`,
+  * against the pairwise definition.
+  */
 class CandidatesSpec extends AnyFunSuite {
 
   /** CC_i = {a ∩ b : a ∈ C_i, b ∈ C_{i+1}, |a ∩ b| ≥ m}, pair by pair. */
@@ -62,6 +64,29 @@ class CandidatesSpec extends AnyFunSuite {
       val sizes = bench.flatten.map(_.length)
       val m = if (sizes.nonEmpty && rng.nextBoolean()) sizes(rng.nextInt(sizes.length)) else 1 + rng.nextInt(4)
       assert(KHalfHop.candidates(bench, m) == pairwise(bench, m), s"trial $trial (m=$m): $bench")
+    }
+  }
+
+  /** The join by its definition: every pair, in nested-loop order. */
+  private def nested(as: Vector[ObjSet], bs: Vector[ObjSet], m: Int): Vector[(Int, Int, ObjSet)] =
+    for {
+      i <- as.indices.toVector
+      j <- bs.indices
+      o = ObjSets.intersect(as(i), bs(j))
+      if o.length >= m
+    } yield (i, j, o)
+
+  test("the join equals the nested-loop definition on overlapping lists, order included (2000 trials)") {
+    val rng = new Random(11)
+    val universe = Vector(Int.MinValue, Int.MinValue + 1, -3, 0, 2, 5, Int.MaxValue - 1, Int.MaxValue)
+    // 0 to 6 sets of random members, so either list may be empty, and its
+    // sets may overlap, repeat or be empty.
+    val sets = () => Vector.fill(rng.nextInt(7))(ObjSets.of(universe.filter(_ => rng.nextInt(3) > 0)))
+    for (trial <- 1 to 2000) {
+      val (as, bs) = (sets(), sets())
+      val sizes = (as ++ bs).map(_.length).filter(_ > 0)
+      val m = if (sizes.nonEmpty && rng.nextBoolean()) sizes(rng.nextInt(sizes.length)) else 1 + rng.nextInt(4)
+      assert(ObjSets.meets(as, bs, m) == nested(as, bs, m), s"trial $trial (m=$m): $as x $bs")
     }
   }
 }

@@ -2,6 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import scala.util.Random
+
 import repro.TestData
 import repro.baseline.PCCD
 import repro.core.ObjSets.ObjSet
@@ -12,6 +14,36 @@ import repro.core.ObjSets.ObjSet
 class MergeSpec extends AnyFunSuite {
 
   private def os(xs: Int*): ObjSet = ObjSets.of(xs)
+
+  /** The sweep by its definition: every live convoy is intersected with
+    * every convoy of the part, the new live set is `maximal` over the grown
+    * convoys and the part's, and a live convoy closes when no convoy of the
+    * new live set covers it.
+    */
+  private def pairwise(parts: IndexedSeq[Vector[Convoy]], m: Int): Vector[Convoy] = {
+    val closed = Vector.newBuilder[Convoy]
+    var live = Vector.empty[Convoy]
+    parts.foreach { cur =>
+      val grown = for {
+        a <- live
+        b <- cur if b.ts == a.te || b.ts == a.te + 1L
+        o = ObjSets.intersect(a.objs, b.objs) if o.length >= m
+      } yield Convoy(o, a.ts, b.te)
+      val next = ConvoySets.maximal(grown ++ cur)
+      closed ++= live.filterNot(a => next.exists(a.isSubOf))
+      live = next
+    }
+    closed.result() ++ live
+  }
+
+  /** Disjoint object sets of at least `m` of 12 objects (a random part of
+    * them is present), in random order: one timestamp's clusters, or one
+    * hop-window's spanning convoys.
+    */
+  private def disjointSets(rng: Random, m: Int): Vector[ObjSet] = {
+    val present = rng.shuffle((1 to 12).toVector).take(rng.nextInt(13))
+    present.grouped(m + rng.nextInt(4)).filter(_.length >= m).map(ObjSets.of(_)).toVector
+  }
 
   // Object ids for the Figure 5 example: a..k -> 1..11, m = 2.
   private val (a, b, c, d, e, f, g, h, i, j, k) = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
@@ -153,6 +185,35 @@ class MergeSpec extends AnyFunSuite {
       }
       val r = Merge.mergeSpanning(parts, m)
       assert(ConvoySets.maximal(r) == r, s"seed=$seed m=$m hop=$hop parts=$parts")
+    }
+  }
+
+  test("equals the sweep by its definition, order included, on PCCD timelines and their partitions") {
+    for (seed <- 1L to 300L; m <- Seq(2, 3)) {
+      val rng = new Random(seed * 17 + m)
+      val t0 = rng.nextInt(3) - 1
+      val clusters = Vector.fill(1 + rng.nextInt(14))(if (rng.nextInt(6) == 0) Vector.empty else disjointSets(rng, m))
+      val timeline = clusters.indices.map(t => clusters(t).map(Convoy(_, t0 + t, t0 + t)))
+      val whole = Merge.mergeSpanning(timeline, m)
+      assert(whole == pairwise(timeline, m), s"seed=$seed m=$m timeline=$timeline")
+      for (lambda <- 2 to 6) {
+        val parts = timeline.grouped(lambda).map(pairwise(_, m)).toIndexedSeq
+        assert(Merge.mergeSpanning(parts, m) == pairwise(parts, m), s"seed=$seed m=$m lambda=$lambda parts=$parts")
+      }
+    }
+  }
+
+  test("equals the sweep by its definition, order included, on hop-window parts") {
+    for (seed <- 1L to 500L; m <- Seq(2, 3); hop <- 1 to 3) {
+      val rng = new Random(seed * 131 + m * 7 + hop)
+      val windows = 1 + rng.nextInt(8)
+      // Every fifth input ends its last window at Int.MaxValue.
+      val b0 = if (seed % 5 == 0) Int.MaxValue - windows * hop else rng.nextInt(7) - 3
+      val parts = IndexedSeq.tabulate(windows) { w =>
+        if (rng.nextInt(4) == 0) Vector.empty[Convoy]
+        else disjointSets(rng, m).map(Convoy(_, b0 + w * hop, b0 + (w + 1) * hop))
+      }
+      assert(Merge.mergeSpanning(parts, m) == pairwise(parts, m), s"seed=$seed m=$m hop=$hop parts=$parts")
     }
   }
 }
