@@ -112,21 +112,24 @@ object HWMT {
       m: Int,
       counter: PointCounter,
   ): Vector[Convoy] =
-    mineWindows(_.map { case (t, o) => select(t, o) }, Vector(b1, b2), Vector(cc), eps, m, counter).head
+    mineWindows(_.map { case (t, o, _, _) => (t, Seq(select(t, o))) }, Vector(b1, b2), Vector(cc), eps, m, counter).head
 
   /** [[mineWindow]] for every hop-window `(bps(i), bps(i + 1))` with
     * candidates `cc(i)`, run one tree level at a time across the windows.
-    * Each level is read with one `selectMany` call: one `(t, union of the
-    * window's live candidates)` request per timestamp of the level, so a
-    * store can answer the whole level at once. Each window then re-clusters
-    * the level's timestamps from those answers in tree order; hop-windows
-    * share no interior timestamp, so the answers are keyed by `t`. A window
-    * stops at the timestamp where its last candidate dies, so the convoys
-    * and the points fed to DBSCAN are exactly those of each window mined
-    * alone.
+    * Each level is read with one `selectMany` call: one request per
+    * timestamp `t` of the level, for the union of the window's live
+    * candidates, offering the window's interior `[bps(i) + 1, bps(i + 1) - 1]`
+    * as the span. Through a `PointCache` over a store that reads whole
+    * spans (DuckDB), the first level reads every live window's interior and
+    * the later levels are answered from the cache, since the live candidates
+    * only shrink. Each window then re-clusters the level's
+    * timestamps from the answers at `t` in tree order; hop-windows share no
+    * interior timestamp, so the answers are keyed by `t`. A window stops at
+    * the timestamp where its last candidate dies, so the convoys and the
+    * points fed to DBSCAN are exactly those of each window mined alone.
     */
   def mineWindows(
-      selectMany: Seq[(Int, ObjSet)] => Seq[Array[Pt]],
+      selectMany: Seq[(Int, ObjSet, Int, Int)] => Seq[(Int, Seq[Array[Pt]])],
       bps: Vector[Int],
       cc: Vector[Vector[ObjSet]],
       eps: Double,
@@ -141,13 +144,13 @@ object HWMT {
     var d = 0
     // Evenly spaced benchmark points: every live window has a request at `d`.
     while (d < depth && cands.exists(_.nonEmpty)) {
-      val reqs = Vector.newBuilder[(Int, ObjSet)]
+      val reqs = Vector.newBuilder[(Int, ObjSet, Int, Int)]
       for (i <- cands.indices if d < levels(i).length && cands(i).nonEmpty) {
         val union = ObjSets.of(cands(i).iterator.flatten)
-        levels(i)(d).foreach(t => reqs += ((t, union)))
+        levels(i)(d).foreach(t => reqs += ((t, union, bps(i) + 1, bps(i + 1) - 1)))
       }
       val batch = reqs.result()
-      val read = batch.iterator.map(_._1).zip(selectMany(batch)).toMap
+      val read = batch.lazyZip(selectMany(batch)).map { case ((t, _, _, _), (lo, got)) => t -> got(t - lo) }.toMap
       val select = (t: Int, oids: ObjSet) => Pts.select(read(t), oids)
       for (i <- cands.indices if d < levels(i).length) {
         val level = levels(i)(d)

@@ -123,7 +123,10 @@ object KHalfHop {
     *   - all benchmark snapshots in one `snapshots` call, then clustered on
     *     the common fork-join pool ([[PointCounter.clusterAll]]);
     *   - HWMT one tree level at a time across the hop-windows, each level in
-    *     one `selectMany` call;
+    *     one `selectMany` call whose requests offer their hop-window's
+    *     interior. A store that reads the whole span (DuckDB) reads every
+    *     live window's interior at the first level, in one call, and the
+    *     later levels come from the cache;
     *   - extension and validation through `selectAround`, offering the
     *     interior of the hop-window that holds each `t`,
     *     `[b + 1, min(b + h - 1, te)]`. A store that reads the whole span

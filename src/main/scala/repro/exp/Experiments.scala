@@ -205,6 +205,9 @@ object Experiments {
   // ------------------------------------------------------------------
   // Fig 8i: phase breakdown of k2-LSMT; Fig 8j: pre-validation counts.
   // ------------------------------------------------------------------
+  /** Each k's query runs once untimed on the same store before its timed
+    * run, so no cell pays for the JVM's first query on the dataset.
+    */
   def phasesAndPreValidation(name: String, scale: Double, ks: Seq[Int] = Seq(20, 40, 60, 100, 150)): String = report { sb =>
     emit(sb, s"== Fig 8i/8j: k2-LSMT phase times and pre-validation convoy counts on $name ($cores cores) ==")
     val data = dataset(name, scale)
@@ -212,6 +215,7 @@ object Experiments {
     try {
       for (k <- ks) {
         val p = DefaultParams.copy(k = k)
+        KHalfHop.run(store, p)
         val (_, report) = KHalfHop.run(store, p)
         emit(sb, f"RESULT|F8i|$name%-10s|k=$k%-4d|" + report.phases.map(ph => f"${ph.name}=${ph.us}%7dus").mkString("|"))
         val vcoda = runVCoDA(data, p, indexed = true)

@@ -13,11 +13,12 @@ import repro.core.ObjSets.ObjSet
   * at most one store call, of its own kind, and asks only for what is not
   * covered yet:
   *   - `snapshot` and `snapshots` read the timestamps not yet covered whole;
-  *   - `select` and `selectMany` read the oids not yet asked for at each `t`
-  *     (on DuckDB the batched join costs more than one select);
-  *   - `selectAround` reads the oids not yet asked for at `t`, over the span
-  *     the store chooses, and files every timestamp of that span, so no later
-  *     read of those oids inside it reaches the store. It answers for `t`
+  *   - `select` reads the oids not yet asked for at `t`;
+  *   - `selectMany` (and so `selectAround`) asks, for each request, for the
+  *     oids not yet asked for at its `t`, offering the request's span; it
+  *     drops the requests left with nothing to ask. It files every timestamp
+  *     of each span the store answered, so no later read of those oids
+  *     inside it reaches the store, and answers each request for its `t`
   *     alone.
   * An object the store does not return stays asked for.
   *
@@ -26,9 +27,8 @@ import repro.core.ObjSets.ObjSet
   * its points in ascending oid order (the `TrajectoryStore` contract) and
   * fails loudly when an answer breaks it.
   *
-  * k/2-hop clusters every point it reads, except what HWMT read for
-  * candidates that died earlier in the same tree level and what
-  * `selectAround` read ahead for convoys that died earlier in the span, so a
+  * k/2-hop clusters every point it reads, except what a span read fetched
+  * ahead for candidates and convoys that died earlier in the span, so a
   * run's cache holds about `pointsProcessed` points. It has no size limit:
   * drop the cache when the run ends. A `snapshot(t)` after a `select` at the
   * same `t` reads the whole timestamp again (the store has no "rest of `t`"
@@ -70,32 +70,26 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     lookup(t, oids)
   }
 
-  override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = {
-    val asks = reqs.iterator.map { case (t, oids) => (t, uncovered(t, oids)) }.filter(_._2.nonEmpty).toVector
+  override def selectMany(reqs: Seq[(Int, ObjSet, Int, Int)]): Seq[(Int, Seq[Array[Pt]])] = {
+    reqs.foreach { case (t, _, t0, t1) => TrajectoryStore.requireHolds(t, t0, t1) }
+    val asks = reqs.iterator.map { case (t, oids, t0, t1) => (t, uncovered(t, oids), t0, t1) }.filter(_._2.nonEmpty).toVector
     if (asks.nonEmpty) {
       val answers = store.selectMany(asks)
       if (answers.length != asks.length)
         throw new IllegalStateException(s"selectMany answered ${answers.length} of ${asks.length} requests")
-      asks.lazyZip(answers).foreach { case ((t, ask), got) => add(t, ask, got) }
-    }
-    reqs.map { case (t, oids) => lookup(t, oids) }
-  }
-
-  override def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) = {
-    require(t0 <= t && t <= t1, s"[$t0, $t1] must hold $t")
-    val ask = uncovered(t, oids)
-    if (ask.nonEmpty) {
-      val (lo, got) = store.selectAround(t, ask, t0, t1)
-      if (lo < t0 || t < lo || lo.toLong + got.length <= t || lo.toLong + got.length - 1 > t1)
-        throw new IllegalStateException(s"selectAround($t, ..., $t0, $t1) answered the span [$lo, ${lo.toLong + got.length - 1}]")
-      got.iterator.zipWithIndex.foreach { case (pts, i) =>
-        val u = lo + i
-        val rest = uncovered(u, ask)
-        if (rest.length == ask.length) add(u, ask, pts)
-        else { check(u, ask, pts); if (rest.nonEmpty) add(u, rest, Pts.select(pts, rest)) }
+      asks.lazyZip(answers).foreach { case ((t, ask, t0, t1), (lo, got)) =>
+        if (lo < t0 || t < lo || lo.toLong + got.length <= t || lo.toLong + got.length - 1 > t1)
+          throw new IllegalStateException(s"selectMany answered ($t, ..., $t0, $t1) over [$lo, ${lo.toLong + got.length - 1}]")
+        got.iterator.zipWithIndex.foreach { case (pts, i) =>
+          val u = lo + i
+          // Oids filed at `u` before, by an earlier read or request: keep only the rest.
+          val rest = uncovered(u, ask)
+          if (rest.length == ask.length) add(u, ask, pts)
+          else { check(u, ask, pts); if (rest.nonEmpty) add(u, rest, Pts.select(pts, rest)) }
+        }
       }
     }
-    (t, Seq(lookup(t, oids)))
+    reqs.map { case (t, oids, _, _) => (t, Seq(lookup(t, oids))) }
   }
 
   /** The oids of `oids` not yet asked for at `t`. */
@@ -114,7 +108,6 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     val at = cache.getOrNull(t)
     if (at eq null) cache(t) = new At(got, ask)
     else {
-      // One pass each; two requests of one batch may ask for the same oid.
       at.pts = Pts.union(at.pts, got)
       at.asked = ObjSets.union(at.asked, ask)
     }

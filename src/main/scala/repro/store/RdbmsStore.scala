@@ -13,14 +13,17 @@ import repro.core.ObjSets.ObjSet
   * the only RDBMS available in this offline container.
   *
   * Access paths match the paper, and each answers in one round trip, which
-  * costs about a millisecond whatever it returns:
+  * costs about a millisecond whatever it returns. Three statements serve
+  * them:
   *   - benchmark snapshots: `snapshots` reads all of them in one query with
   *     an IN-list of the timestamps, and `snapshot` is its one-timestamp case;
-  *   - point reads: `WHERE t BETWEEN ? AND ? AND oid BETWEEN ? AND ?` range
-  *     reads over the index. `selectAround` reads the whole span `[t0, t1]`
-  *     this way, and `select` is its one-timestamp case;
-  *   - HWMT reads one whole tree level with `selectMany`, one join of the
-  *     requested `(t, oid)` keys.
+  *   - a `selectMany` batch of one request reads the request's whole span
+  *     with `WHERE t BETWEEN ? AND ? AND oid BETWEEN ? AND ?` range reads over
+  *     the index, one per dense run of its oids. `select` and `selectAround`
+  *     (extension and validation) are such batches;
+  *   - a batch of two or more requests (HWMT's hop-window interiors) is one
+  *     join of exact `(t0, t1, oid)` key rows with `traj`, which reads every
+  *     request's whole span.
   *
   * Every row materialized over JDBC is charged to the read counter.
   */
@@ -32,13 +35,24 @@ final class RdbmsStore private (
 ) extends CountingStore {
   import RdbmsStore.RunGap
 
-  // Point reads reuse one prepared range statement over the (t, oid) index:
-  // the sorted oid set is split into dense runs and each run is fetched over
-  // the whole span with an index range scan (same plan a clustered B-tree
-  // would use). Re-parsing SQL per call would otherwise dominate the paper's
-  // access pattern.
+  // One-request reads reuse one prepared range statement over the (t, oid)
+  // index: the sorted oid set is split into dense runs and each run is
+  // fetched over the whole span with an index range scan (same plan a
+  // clustered B-tree would use). Re-parsing SQL per call would otherwise
+  // dominate the paper's access pattern.
   private val spanStmt = conn.prepareStatement(
     "SELECT t, oid, x, y FROM traj WHERE t BETWEEN ? AND ? AND oid BETWEEN ? AND ? ORDER BY t, oid")
+
+  // A batch of requests is one join of its `(t0, t1, oid)` key rows with
+  // `traj`. The keys travel as three comma-separated lists, zipped back into
+  // rows by the parallel unnests (the JDBC driver has no array parameters).
+  // The outer `t` range lets the scan skip the row groups outside the batch.
+  // The keys are exact oids: dense oid runs read far more rows on dense data.
+  private val keyStmt = conn.prepareStatement(
+    """WITH k AS (SELECT unnest(string_split(?, ','))::INTEGER AS t0, unnest(string_split(?, ','))::INTEGER AS t1,
+      |  unnest(string_split(?, ','))::INTEGER AS oid)
+      |SELECT traj.t, traj.oid, traj.x, traj.y FROM traj JOIN k ON traj.oid = k.oid AND traj.t BETWEEN k.t0 AND k.t1
+      |WHERE traj.t BETWEEN ? AND ? ORDER BY traj.t, traj.oid""".stripMargin)
 
   override def snapshot(t: Int): Array[Pt] = snapshots(Seq(t)).head
 
@@ -58,15 +72,34 @@ final class RdbmsStore private (
     times.map(rows.getOrElse(_, Array.empty[Pt]))
   }
 
-  /** The whole span `[t0, t1]`, clipped to `[ts, te]`, with one range read
-    * per dense run of `oids`; the rows of other oids inside a run are read
-    * (and charged) but dropped.
+  /** Every request's whole span `[t0, t1]`, clipped to `[ts, te]`, in one
+    * statement: the range reads for a batch of one request, else the key
+    * join. A request with no oids, or whose `t` lies outside `[ts, te]`, is
+    * answered at `t` alone and reads nothing.
     */
-  override def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) = {
-    require(t0 <= t && t <= t1, s"[$t0, $t1] must hold $t")
-    if (oids.isEmpty || t < ts || t > te) return (t, Seq(Array.empty[Pt]))
-    val (lo, hi) = (math.max(t0, ts), math.min(t1, te))
+  override def selectMany(reqs: Seq[(Int, ObjSet, Int, Int)]): Seq[(Int, Seq[Array[Pt]])] = {
+    reqs.foreach { case (t, _, t0, t1) => TrajectoryStore.requireHolds(t, t0, t1) }
+    val spans = reqs.map { case (t, oids, t0, t1) =>
+      Option.when(oids.nonEmpty && t >= ts && t <= te)((math.max(t0, ts), math.min(t1, te)))
+    }
+    val live = reqs.lazyZip(spans).flatMap { case ((_, oids, _, _), span) => span.map { case (lo, hi) => (oids, lo, hi) } }
     val byTime = mutable.LongMap.empty[ArrayBuffer[Pt]]
+    if (live.length == 1) rangeRead(live.head._1, live.head._2, live.head._3, byTime)
+    else if (live.nonEmpty) keyJoin(live, byTime)
+    val rows = byTime.mapValuesNow(_.toArray)
+    reqs.lazyZip(spans).map {
+      case ((t, _, _, _), None) => (t, Seq(Array.empty[Pt]))
+      case ((_, oids, _, _), Some((lo, hi))) => (lo, (lo to hi).map(u => rows.get(u).fold(Array.empty[Pt])(Pts.select(_, oids))))
+    }
+  }
+
+  override def select(t: Int, oids: ObjSet): Array[Pt] = selectAround(t, oids, t, t)._2.head
+
+  /** `oids` over `[lo, hi]` into `byTime`, with one range read per dense run
+    * of `oids`; the rows of other oids inside a run are read (and charged)
+    * but dropped.
+    */
+  private def rangeRead(oids: ObjSet, lo: Int, hi: Int, byTime: mutable.LongMap[ArrayBuffer[Pt]]): Unit = {
     var i = 0
     while (i < oids.length) {
       var j = i
@@ -76,42 +109,28 @@ final class RdbmsStore private (
       collect(spanStmt.executeQuery(), byTime, oids)
       i = j + 1
     }
-    (lo, (lo to hi).map(u => byTime.get(u).fold(Array.empty[Pt])(_.toArray)))
   }
 
-  override def select(t: Int, oids: ObjSet): Array[Pt] = selectAround(t, oids, t, t)._2.head
-
-  // A batch of point reads is one join of the requested keys with `traj`.
-  // The keys travel as two comma-separated lists, zipped back into rows by
-  // the two parallel unnests (the JDBC driver has no array parameters).
-  // The `t` range lets the scan skip the row groups outside the batch.
-  private val batchStmt = conn.prepareStatement(
-    """WITH k AS (SELECT unnest(string_split(?, ','))::INTEGER AS t, unnest(string_split(?, ','))::INTEGER AS oid)
-      |SELECT traj.t, traj.oid, traj.x, traj.y FROM traj JOIN k ON traj.t = k.t AND traj.oid = k.oid
-      |WHERE traj.t BETWEEN ? AND ? ORDER BY traj.t, traj.oid""".stripMargin)
-
-  /** All requests in one query; each answer is then the request's oids among
-    * the returned rows of its `t`. A single `select` stays on the span
-    * statement, whose round trip is the cheaper one.
+  /** Every `(oids, lo, hi)` request of `live` into `byTime`, with one key
+    * join. Per oid the spans are merged where they overlap or touch, so the
+    * key rows are distinct and no stored row matches two of them.
     */
-  override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = {
-    val tList = new StringBuilder
-    val oidList = new StringBuilder
-    var (lo, hi) = (Int.MaxValue, Int.MinValue)
-    reqs.foreach { case (t, oids) =>
-      oids.foreach { oid =>
-        if (tList.nonEmpty) { tList += ','; oidList += ',' }
-        tList.append(t); oidList.append(oid)
-        lo = math.min(lo, t); hi = math.max(hi, t)
-      }
+  private def keyJoin(live: Seq[(ObjSet, Int, Int)], byTime: mutable.LongMap[ArrayBuffer[Pt]]): Unit = {
+    val keys = live.iterator.flatMap { case (oids, lo, hi) => oids.iterator.map(o => (o, lo, hi)) }.toArray.sorted
+    val (t0s, t1s, oidList) = (new StringBuilder, new StringBuilder, new StringBuilder)
+    var i = 0
+    while (i < keys.length) {
+      val (oid, lo, first) = keys(i)
+      var hi = first
+      i += 1
+      // In Long: `hi + 1` wraps at Int.MaxValue.
+      while (i < keys.length && keys(i)._1 == oid && keys(i)._2 <= hi.toLong + 1) { hi = math.max(hi, keys(i)._3); i += 1 }
+      if (oidList.nonEmpty) { t0s += ','; t1s += ','; oidList += ',' }
+      t0s.append(lo); t1s.append(hi); oidList.append(oid)
     }
-    if (tList.isEmpty) return reqs.map(_ => Array.empty[Pt])
-    batchStmt.setString(1, tList.toString); batchStmt.setString(2, oidList.toString)
-    batchStmt.setInt(3, lo); batchStmt.setInt(4, hi)
-    val byTime = mutable.LongMap.empty[ArrayBuffer[Pt]]
-    collect(batchStmt.executeQuery(), byTime, null)
-    val rows = byTime.mapValuesNow(_.toArray)
-    reqs.map { case (t, oids) => rows.get(t).fold(Array.empty[Pt])(Pts.select(_, oids)) }
+    keyStmt.setString(1, t0s.toString); keyStmt.setString(2, t1s.toString); keyStmt.setString(3, oidList.toString)
+    keyStmt.setInt(4, live.iterator.map(_._2).min); keyStmt.setInt(5, live.iterator.map(_._3).max)
+    collect(keyStmt.executeQuery(), byTime, null)
   }
 
   /** Append the `(t, oid, x, y)` rows of `rs`, ordered by `(t, oid)`, to
@@ -126,7 +145,7 @@ final class RdbmsStore private (
         byTime.getOrElseUpdate(rs.getInt(1), ArrayBuffer.empty[Pt]) += Pt(oid, rs.getDouble(3), rs.getDouble(4))
     } finally rs.close()
 
-  override def close(): Unit = { spanStmt.close(); batchStmt.close(); conn.close() }
+  override def close(): Unit = { spanStmt.close(); keyStmt.close(); conn.close() }
 }
 
 object RdbmsStore {

@@ -8,14 +8,17 @@ import repro.core.ObjSets.ObjSet
   * k/2-hop reads points in two ways:
   *   1. full scans of timestamps: `snapshot(t)`, and `snapshots(times)` for all
   *      benchmark points at once;
-  *   2. point access by (timestamp, object id): `select(t, oids)`;
-  *      `selectMany` for many `(t, oids)` at once (HWMT reads one tree level
-  *      across hop-windows this way); and `selectAround` for `select`'s
-  *      answers over a span of timestamps (extension and validation read
-  *      one hop-window's interior this way).
+  *   2. point access by (timestamp, object id): `select(t, oids)`, and
+  *      `selectMany` for many requests at once. A request `(t, oids, t0, t1)`
+  *      offers the store the span `[t0, t1]` around `t`, and is answered with
+  *      `select`'s answers over a span of the store's choosing inside it.
+  *      HWMT offers each request its hop-window's interior, extension and
+  *      validation read one request at a time through `selectAround`.
   *
-  * The batched members default to one `snapshot` or `select` per timestamp;
-  * a store whose round trip is costly overrides them.
+  * A store overrides four read members at most: `snapshot`, `select`,
+  * `snapshots` and `selectMany`. The batched two default to one `snapshot`
+  * or `select` per timestamp; a store whose round trip is costly overrides
+  * them.
   *
   * Implementations also maintain I/O counters so benches can report the
   * storage-level cost alongside the algorithm-level "points processed"
@@ -40,28 +43,28 @@ trait TrajectoryStore extends AutoCloseable {
     */
   def select(t: Int, oids: ObjSet): Array[Pt]
 
-  /** One `select` answer per request, in request order. Stores with a
-    * costly round trip answer all requests at once; by default each is its
-    * own `select`.
-    */
-  def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = reqs.map { case (t, oids) => select(t, oids) }
-
   /** One `snapshot` answer per timestamp of `times`, in order (repeats and
     * timestamps outside `[ts, te]` included); by default each is its own
     * `snapshot`.
     */
   def snapshots(times: Seq[Int]): Seq[Array[Pt]] = times.map(snapshot)
 
-  /** `select(u, oids)` for every `u` of a span `[lo, lo + n)` that holds `t`
-    * and lies inside `[t0, t1]` (which must hold `t`), as `(lo, answers)`
-    * with `n` answers. Which span is the store's choice: by default only `t`
-    * is read, and a store with a costly round trip reads the whole `[t0, t1]`
-    * in one.
+  /** One answer per request `(t, oids, t0, t1)`, in request order, where
+    * `[t0, t1]` must hold `t`. The answer is `(lo, answers)`, with
+    * `answers(i) == select(lo + i, oids)` over a span `[lo, lo + n)` that
+    * holds `t` and lies inside `[t0, t1]`. Which span is the store's choice:
+    * by default only `t` is read, with one `select`, and a store with a
+    * costly round trip reads every request's whole `[t0, t1]` at once.
     */
-  def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) = {
-    require(t0 <= t && t <= t1, s"[$t0, $t1] must hold $t")
-    (t, Seq(select(t, oids)))
-  }
+  def selectMany(reqs: Seq[(Int, ObjSet, Int, Int)]): Seq[(Int, Seq[Array[Pt]])] =
+    reqs.map { case (t, oids, t0, t1) =>
+      TrajectoryStore.requireHolds(t, t0, t1)
+      (t, Seq(select(t, oids)))
+    }
+
+  /** [[selectMany]] of the one request `(t, oids, t0, t1)`. */
+  final def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) =
+    selectMany(Seq((t, oids, t0, t1))).head
 
   /** Number of points materialized from storage since the last reset. */
   def pointsRead: Long
@@ -70,6 +73,11 @@ trait TrajectoryStore extends AutoCloseable {
   def resetCounters(): Unit
 
   override def close(): Unit = ()
+}
+
+object TrajectoryStore {
+  /** Fail unless the span `[t0, t1]` of a `selectMany` request holds its `t`. */
+  private[store] def requireHolds(t: Int, t0: Int, t1: Int): Unit = require(t0 <= t && t <= t1, s"[$t0, $t1] must hold $t")
 }
 
 /** In-memory dataset: the common interchange format produced by the

@@ -180,13 +180,17 @@ class HWMTSpec extends AnyFunSuite {
       val bps = KHalfHop.benchmarkPoints(data.ts, data.te, k)
       val cc = KHalfHop.candidates(bps.map(b => DBSCAN.cluster(data.snapshot(b), p.eps, p.m)), p.m)
       val (all, single, each) = (new PointCounter, new PointCounter, new PointCounter)
-      val batches = Vector.newBuilder[Seq[(Int, ObjSets.ObjSet)]]
+      val batches = Vector.newBuilder[Seq[(Int, ObjSets.ObjSet, Int, Int)]]
       val got = HWMT.mineWindows(reqs => { batches += reqs; store.selectMany(reqs) }, bps, cc, p.eps, p.m, all)
       val want = cc.indices.toVector.map(i => perWindow(store.select, bps(i), bps(i + 1), cc(i), p.eps, p.m, each))
       val alone = cc.indices.toVector.map(i => HWMT.mineWindow(store.select, bps(i), bps(i + 1), cc(i), p.eps, p.m, single))
       assert(got == want && alone == want, s"seed $seed, k $k")
       assert(all.n == each.n && single.n == each.n, s"seed $seed, k $k")
       assert(batches.result().length <= HWMT.treeLevels(1, k / 2 - 1).length, s"seed $seed, k $k")
+      // Each request offers the interior of its hop-window.
+      val h = k / 2
+      assert(batches.result().flatten.forall { case (t, _, t0, t1) => t0 == (t - data.ts) / h * h + data.ts + 1 && t1 == t0 + h - 2 },
+        s"seed $seed, k $k")
     }
     // No benchmark point (an empty dataset), or one: no hop-window.
     for (bps <- Seq(Vector.empty[Int], Vector(7)))

@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.core.KHalfHop.Params
 import repro.data.TrajGen
-import repro.store.{MemStore, PointCache, RecordingStore}
+import repro.store.{MemStore, PointCache, RdbmsStore, RecordingStore}
 
 /** Parameter validation, run report and pruning invariants of the k/2-hop
   * driver (the quantities behind Tables 5 and Figures 8i/8j).
@@ -119,12 +119,49 @@ class KHalfHopStatsSpec extends AnyFunSuite {
       val spanning = HWMT.mineWindows(cache.selectMany, bps, cc, p.eps, p.m, new PointCounter)
       assert(recorder.calls.length == snapshots, s"HWMT made a per-window select for $p")
       assert(recorder.batches.length <= levels, s"${recorder.batches.length} batched calls for $levels levels, $p")
-      // The whole run issues exactly those batches and finds the same spanning convoys.
+      // The whole run issues exactly those batches, then extension's and
+      // validation's one-request reads, and finds the same spanning convoys.
       val runRecorder = new RecordingStore(new MemStore(data))
       val (_, report) = KHalfHop.run(runRecorder, p)
-      assert(runRecorder.batches == recorder.batches, s"$p")
+      val (hwmt, rest) = runRecorder.batches.splitAt(recorder.batches.length)
+      assert(hwmt == recorder.batches && rest.forall(_.length == 1), s"$p")
       assert(report.spanningConvoys == spanning.iterator.map(_.length).sum, s"$p")
     }
+  }
+
+  test("on DuckDB, HWMT reads every hop-window's interior in one store call, and makes none at k = 2 or 3") {
+    val cases = Seq(20, 40).map(k => (TrajGen.trucksLite(scale = 0.3), Params(3, k, 25.0))) ++
+      (for (seed <- 1L to 6L; k <- Seq(2, 3, 4, 8)) yield (TestData.randomTiny(seed, 8, 30), Params(2, k, TestData.GridEps)))
+    var windows = 0
+    for ((data, p) <- cases) {
+      val store = RdbmsStore.create(data)
+      try {
+        val recorder = new RecordingStore(store)
+        val cache = new PointCache(recorder)
+        val bps = KHalfHop.benchmarkPoints(data.ts, data.te, p.k)
+        val cc = KHalfHop.candidates(cache.snapshots(bps).map(DBSCAN.cluster(_, p.eps, p.m)).toVector, p.m)
+        val calls = recorder.calls.length
+        val spanning = HWMT.mineWindows(cache.selectMany, bps, cc, p.eps, p.m, new PointCounter)
+        val live = p.k / 2 >= 2 && cc.exists(_.nonEmpty)
+        assert(recorder.calls.length == calls && recorder.batches.length == (if (live) 1 else 0), s"${recorder.batches.length} calls for $p")
+        if (live) windows += 1
+        val mem = new PointCache(new MemStore(data))
+        assert(spanning == HWMT.mineWindows(mem.selectMany, bps, cc, p.eps, p.m, new PointCounter), s"$p")
+      } finally store.close()
+    }
+    assert(windows > 2, "too few cases with candidates in a window of hop >= 2")
+  }
+
+  test("a k=20 query on T-Drive-lite x2 over DuckDB makes 18 store calls") {
+    val store = RdbmsStore.create(TrajGen.tdriveLite(2.0, 11))
+    try {
+      val recorder = new RecordingStore(store)
+      KHalfHop.run(recorder, Params(3, 20, 25.0))
+      // Every read of the run is one `snapshots` or one `selectMany`.
+      val calls = recorder.snapshotBatches.length + recorder.batches.length
+      assert(recorder.calls.length == recorder.snapshotBatches.map(_.length).sum, "a bare select or snapshot reached the store")
+      assert(calls == 18, s"$calls store calls")
+    } finally store.close()
   }
 
   test("k larger than the dataset span yields no convoys and minimal work") {

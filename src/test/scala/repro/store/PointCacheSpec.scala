@@ -8,7 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.core.{KHalfHop, ObjSets, Pt}
 import repro.core.ObjSets.ObjSet
-import repro.store.RecordingStore.Call
+import repro.store.RecordingStore.{Around, Call}
 
 /** The per-run point cache answers exactly as its store does, and asks the
   * store only for what it has not read yet.
@@ -54,7 +54,7 @@ class PointCacheSpec extends AnyFunSuite {
         val covered = mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
         def uncovered(t: Int, oids: ObjSet) = if (full(t)) ObjSets.empty else oids.filterNot(covered(t))
         /** `f`'s result, and the store calls and batches it made. */
-        def traffic[A](f: => A): (A, Seq[Call], Seq[Seq[(Int, ObjSet)]]) = {
+        def traffic[A](f: => A): (A, Seq[Call], Seq[Seq[Around]]) = {
           val (calls, batches) = (recorder.calls.length, recorder.batches.length)
           val r = f
           (r, recorder.calls.drop(calls).toSeq, recorder.batches.drop(batches).toSeq)
@@ -70,10 +70,10 @@ class PointCacheSpec extends AnyFunSuite {
               full += t
             case 1 | 2 =>
               val asked = reqs.map { case (t, oids) => (t, uncovered(t, oids)) }.filter(_._2.nonEmpty)
-              val (got, calls, batches) = traffic(cache.selectMany(reqs))
+              val (got, calls, batches) = traffic(cache.selectMany(reqs.map { case (t, oids) => (t, oids, t, t) }))
               val ctx = s"$name seed $seed op $i selectMany($reqs)"
-              assert(got.map(_.toSeq) == reqs.map { case (t, oids) => data.select(t, oids).toSeq }, ctx)
-              assert(calls.isEmpty && batches == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
+              assert(got.map { case (lo, pts) => (lo, pts.map(_.toSeq)) } == reqs.map { case (t, oids) => (t, Seq(data.select(t, oids).toSeq)) }, ctx)
+              assert(calls.isEmpty && batches.map(_.map(a => (a.t, a.oids))) == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
               reqs.foreach { case (t, oids) => covered(t) ++= oids }
             case _ =>
               val missing = uncovered(t, oids)
@@ -91,26 +91,53 @@ class PointCacheSpec extends AnyFunSuite {
     }
   }
 
+  /** The cache's store traffic as the random-sequence tests model it: the
+    * timestamps read whole, and the oids asked for per timestamp.
+    */
+  private final class Model(name: String) {
+    val full = mutable.Set.empty[Int]
+    val covered = mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
+    def uncovered(t: Int, oids: ObjSet): ObjSet = if (full(t)) ObjSets.empty else oids.filterNot(covered(t))
+
+    /** The requests the cache must send for `reqs`, as `(t, missing oids, t0,
+      * t1, (lo, n))` with the span the store answers, all asked before any
+      * is filed; then files each span's timestamps. DuckDB reads the span
+      * clipped to [Ts, Te]; the other stores read t alone.
+      */
+    def ask(reqs: Seq[(Int, ObjSet, Int, Int)]): Seq[(Int, ObjSet, Int, Int, (Int, Int))] = {
+      val asks = reqs.map { case (t, oids, t0, t1) => (t, uncovered(t, oids), t0, t1) }.filter(_._2.nonEmpty)
+      asks.map { case (t, missing, t0, t1) =>
+        val span = if (name != "rdbms" || t < Ts || t > Te) (t, 1) else (t0 max Ts, (t1 min Te) - (t0 max Ts) + 1)
+        (span._1 until span._1 + span._2).foreach(u => covered(u) ++= missing)
+        (t, missing, t0, t1, span)
+      }
+    }
+  }
+
+  /** A `selectMany` request at `t` offering up to 2 timestamps on either side. */
+  private def someRequest(rng: Random, t: Int): (Int, ObjSet, Int, Int) =
+    (t, ObjSets.of(oidPool.filter(_ => rng.nextInt(3) == 0)), t - rng.nextInt(3), t + rng.nextInt(3))
+
   // A prefetch is a selectMany: one batched store call for a set of requests.
   test("random prefetch/select sequences: a prefetch fetches the uncovered oids in one call, and selects of them make none") {
     for (seed <- 1 to 4) {
       val rng = new Random(100 + seed)
       val data = randomData(rng)
-      def someOids = ObjSets.of(oidPool.filter(_ => rng.nextInt(3) == 0))
-      val ops = Vector.fill(30)(Vector.fill(1 + rng.nextInt(3))((Ts - 1 + rng.nextInt(Te - Ts + 3), someOids)))
+      val ops = Vector.fill(30)(Vector.fill(1 + rng.nextInt(3))(someRequest(rng, Ts - 1 + rng.nextInt(Te - Ts + 3))))
       val opened = stores(data)
       try opened.foreach { case (name, store) =>
         val recorder = new RecordingStore(store)
         val cache = new PointCache(recorder)
-        val covered = mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
+        val model = new Model(name)
         ops.zipWithIndex.foreach { case (reqs, i) =>
           val ctx = s"$name seed $seed op $i selectMany($reqs)"
-          val asked = reqs.map { case (t, oids) => (t, oids.filterNot(covered(t))) }.filter(_._2.nonEmpty)
+          val asked = model.ask(reqs)
           val before = recorder.batches.length
-          cache.selectMany(reqs)
-          assert(recorder.batches.drop(before).toSeq == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
-          reqs.foreach { case (t, oids) => covered(t) ++= oids }
-          reqs.foreach { case (t, oids) =>
+          val got = cache.selectMany(reqs)
+          assert(got.map { case (lo, pts) => (lo, pts.map(_.toSeq)) } == reqs.map { case (t, oids, _, _) => (t, Seq(data.select(t, oids).toSeq)) }, ctx)
+          assert(recorder.batches.drop(before).toSeq.map(_.map(a => (a.t, a.oids, a.t0, a.t1, (a.lo, a.n)))) ==
+            (if (asked.isEmpty) Nil else Seq(asked)), ctx)
+          reqs.foreach { case (t, oids, _, _) =>
             assert(cache.select(t, oids).toSeq == data.select(t, oids).toSeq, s"$ctx, select($t, $oids)")
           }
           assert(recorder.calls.isEmpty, ctx)
@@ -126,52 +153,46 @@ class PointCacheSpec extends AnyFunSuite {
       val data = randomData(rng)
       def someT = Ts - 1 + rng.nextInt(Te - Ts + 3)
       // Each op is a snapshots (0) of a few timestamps, repeats and
-      // out-of-range ones included, or a selectAround (1 to 3) over a window
-      // of up to 2 timestamps on either side of t.
-      val ops = Vector.fill(40)((rng.nextInt(4), Vector.fill(1 + rng.nextInt(3))(someT),
-        ObjSets.of(oidPool.filter(_ => rng.nextInt(3) == 0)), rng.nextInt(3), rng.nextInt(3)))
+      // out-of-range ones included, a selectAround (1, 2) over a window of up
+      // to 2 timestamps on either side of t, or a selectMany (3) of up to 3
+      // such requests, whose spans may overlap.
+      val ops = Vector.fill(40) {
+        val kind = rng.nextInt(4)
+        (kind, Vector.fill(1 + rng.nextInt(3))(someT), Vector.fill(if (kind == 3) 1 + rng.nextInt(3) else 1)(someRequest(rng, someT)))
+      }
       val opened = stores(data)
       try opened.foreach { case (name, store) =>
         val recorder = new RecordingStore(store)
         val cache = new PointCache(recorder)
-        val full = mutable.Set.empty[Int]
-        val covered = mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
-        def uncovered(t: Int, oids: ObjSet) = if (full(t)) ObjSets.empty else oids.filterNot(covered(t))
-        ops.zipWithIndex.foreach { case ((kind, times, oids, before, after), i) =>
-          val (calls, batches, snaps, spans) = (recorder.calls.length, recorder.batches.length, recorder.snapshotBatches.length, recorder.spans.length)
-          val t = times.head
-          val (t0, t1) = (t - before, t + after)
+        val model = new Model(name)
+        import model.{covered, full}
+        ops.zipWithIndex.foreach { case ((kind, times, reqs), i) =>
+          val (calls, batches, snaps) = (recorder.calls.length, recorder.batches.length, recorder.snapshotBatches.length)
           if (kind == 0) {
             val ctx = s"$name seed $seed op $i snapshots($times)"
             val asked = times.distinct.filterNot(full)
             assert(cache.snapshots(times).map(_.toSeq) == times.map(data.snapshot(_).toSeq), ctx)
             assert(recorder.snapshotBatches.drop(snaps) == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
-            assert(recorder.spans.length == spans, ctx)
+            assert(recorder.batches.length == batches, ctx)
             full ++= times
           } else {
-            val ctx = s"$name seed $seed op $i selectAround($t, $oids, $t0, $t1)"
-            val missing = uncovered(t, oids)
-            val (lo, got) = cache.selectAround(t, oids, t0, t1)
-            assert(lo == t && got.map(_.toSeq) == Seq(data.select(t, oids).toSeq), ctx)
-            val made = recorder.spans.drop(spans).toSeq
-            if (missing.isEmpty) assert(made.isEmpty, ctx)
-            else {
-              // DuckDB reads the window clipped to [Ts, Te]; the other stores read t alone.
-              val span = if (name != "rdbms" || t < Ts || t > Te) (t, 1) else (t0 max Ts, (t1 min Te) - (t0 max Ts) + 1)
-              assert(made.map(a => (a.t, a.oids, a.t0, a.t1, (a.lo, a.n))) == Seq((t, missing, t0, t1, span)), ctx)
-              (span._1 until span._1 + span._2).foreach(u => covered(u) ++= missing)
-            }
+            val ctx = s"$name seed $seed op $i selectMany($reqs)"
+            val asked = model.ask(reqs)
+            val got = if (kind == 3) cache.selectMany(reqs) else { val (t, oids, t0, t1) = reqs.head; Seq(cache.selectAround(t, oids, t0, t1)) }
+            assert(got.map { case (lo, pts) => (lo, pts.map(_.toSeq)) } == reqs.map { case (t, oids, _, _) => (t, Seq(data.select(t, oids).toSeq)) }, ctx)
+            val made = recorder.batches.drop(batches).toSeq
+            assert(made.map(_.map(a => (a.t, a.oids, a.t0, a.t1, (a.lo, a.n)))) == (if (asked.isEmpty) Nil else Seq(asked)), ctx)
             assert(recorder.snapshotBatches.length == snaps, ctx)
           }
           assert(recorder.calls.length == calls + recorder.snapshotBatches.drop(snaps).map(_.length).sum, s"$name seed $seed op $i")
-          assert(recorder.batches.length == batches, s"$name seed $seed op $i")
           // Whatever the store answered is cached: reading it again is free.
-          val (marks, spansNow) = (recorder.calls.length, recorder.spans.length)
+          val (marks, batchesNow) = (recorder.calls.length, recorder.batches.length)
           for (u <- Ts - 1 to Te + 1 if full(u) || covered(u).nonEmpty) {
-            val known = if (full(u)) oids else ObjSets.of(covered(u))
+            val known = if (full(u)) ObjSets.of(oidPool) else ObjSets.of(covered(u))
             assert(cache.select(u, known).toSeq == data.select(u, known).toSeq, s"$name seed $seed op $i, select($u)")
+            assert(cache.selectAround(u, known, u - 1, u + 1)._2.map(_.toSeq) == Seq(data.select(u, known).toSeq), s"$name seed $seed op $i, selectAround($u)")
           }
-          assert(recorder.calls.length == marks && recorder.spans.length == spansNow, s"$name seed $seed op $i, cached reads")
+          assert(recorder.calls.length == marks && recorder.batches.length == batchesNow, s"$name seed $seed op $i, cached reads")
         }
       }
       finally opened.foreach(_._2.close())
@@ -186,12 +207,12 @@ class PointCacheSpec extends AnyFunSuite {
       val cache = new PointCache(recorder)
       val oids = ObjSets.of(oidPool)
       assert(cache.selectAround(Ts + 3, oids, Ts, Te)._2.map(_.toSeq) == Seq(data.select(Ts + 3, oids).toSeq))
-      assert(recorder.spans.toSeq.map(a => (a.lo, a.n)) == Seq((Ts, Te - Ts + 1)))
+      assert(recorder.batches.toSeq.map(_.map(a => (a.lo, a.n))) == Seq(Seq((Ts, Te - Ts + 1))))
       for (t <- Ts to Te; sub <- Seq(oids, ObjSets.of(Seq(Int.MinValue, 0, 64, Int.MaxValue)), ObjSets.of(Seq(12345)))) {
         assert(cache.select(t, sub).toSeq == data.select(t, sub).toSeq, s"select($t, $sub)")
         assert(cache.selectAround(t, sub, t, Te)._2.map(_.toSeq) == Seq(data.select(t, sub).toSeq), s"selectAround($t, $sub)")
       }
-      assert(recorder.calls.isEmpty && recorder.batches.isEmpty && recorder.spans.length == 1)
+      assert(recorder.calls.isEmpty && recorder.batches.length == 1)
       assert(store.pointsRead == data.totalPoints, "the span read every stored point once")
     } finally store.close()
   }
@@ -229,7 +250,7 @@ class PointCacheSpec extends AnyFunSuite {
         }
       }
       assert(viaAround.calls == viaSelect.calls, s"seed $seed")
-      assert(viaAround.spans.isEmpty && viaAround.snapshotBatches.isEmpty, s"seed $seed")
+      assert(viaAround.batches.isEmpty && viaAround.snapshotBatches.isEmpty, s"seed $seed")
     }
   }
 
@@ -244,15 +265,15 @@ class PointCacheSpec extends AnyFunSuite {
         val ctx = s"seed $seed, k $k"
         assert(KHalfHop.run(recorder, p)._1 == KHalfHop.run(new MemStore(data), p)._1, ctx)
         val h = k / 2
-        recorder.spans.foreach { a =>
+        recorder.batches.flatten.foreach { a =>
           val b = data.ts + (a.t - data.ts) / h * h
           assert((a.t0, a.t1) == (if (b == a.t) (a.t, a.t) else (b + 1, math.min(b + h - 1, data.te))), s"$ctx: $a")
         }
         // Hop 1: every timestamp is a benchmark point, read whole by the one
         // snapshots call, and no read goes past it.
-        if (h == 1) assert(recorder.spans.forall(a => a.lo == a.t && a.n == 1) &&
+        if (h == 1) assert(recorder.batches.flatten.forall(a => a.lo == a.t && a.n == 1) &&
           recorder.snapshotBatches.toSeq == Seq(data.ts to data.te) && store.pointsRead == data.totalPoints, ctx)
-        spans += recorder.spans.length
+        spans += recorder.batches.flatten.length
       } finally store.close()
     }
     assert(spans > 0, "no extension or validation read reached the store")
@@ -264,6 +285,9 @@ class PointCacheSpec extends AnyFunSuite {
   ))
 
   private def os(xs: Int*): ObjSet = ObjSets.of(xs)
+
+  /** The `(t, oids)` of every request of each batch `recorder` forwarded. */
+  private def asked(recorder: RecordingStore): Seq[Seq[(Int, ObjSet)]] = recorder.batches.toSeq.map(_.map(a => (a.t, a.oids)))
 
   test("a partly covered select asks only for the missing oids, and absent objects stay covered") {
     val recorder = new RecordingStore(new MemStore(data))
@@ -288,30 +312,31 @@ class PointCacheSpec extends AnyFunSuite {
   test("a select after a selectMany makes no store call, and objects absent at t stay absent") {
     val recorder = new RecordingStore(new MemStore(data))
     val cache = new PointCache(recorder)
-    val got = cache.selectMany(Seq((0, os(Int.MinValue, 3, 7)), (1, os(-5, 3, Int.MaxValue)), (5, os(1))))
-    assert(got.map(_.map(_.oid).toSeq) == Seq(Seq(Int.MinValue, 3), Seq(3, Int.MaxValue), Nil))
-    assert(recorder.batches.toSeq == Seq(Seq((0, os(Int.MinValue, 3, 7)), (1, os(-5, 3, Int.MaxValue)), (5, os(1)))))
+    val got = cache.selectMany(Seq((0, os(Int.MinValue, 3, 7), 0, 0), (1, os(-5, 3, Int.MaxValue), 1, 1), (5, os(1), 5, 5)))
+    assert(got.map { case (lo, pts) => (lo, pts.map(_.map(_.oid).toSeq)) } == Seq((0, Seq(Seq(Int.MinValue, 3))), (1, Seq(Seq(3, Int.MaxValue))), (5, Seq(Nil))))
+    assert(asked(recorder) == Seq(Seq((0, os(Int.MinValue, 3, 7)), (1, os(-5, 3, Int.MaxValue)), (5, os(1)))))
     assert(cache.select(0, os(Int.MinValue, 3, 7)).toSeq == Seq(Pt(Int.MinValue, 0, 0), Pt(3, 2, 0)))
     assert(cache.select(1, os(-5, Int.MaxValue)).toSeq == Seq(Pt(Int.MaxValue, 4, 1)))
     assert(cache.select(5, os(1)).isEmpty)
     assert(recorder.calls.isEmpty)
     // Covered requests are dropped; the rest ask only for their uncovered oids.
-    cache.selectMany(Seq((0, os(Int.MinValue, 7)), (1, os(-5)), (5, os(1))))
+    cache.selectMany(Seq((0, os(Int.MinValue, 7), 0, 0), (1, os(-5), 0, 1), (5, os(1), 5, 9)))
     assert(recorder.batches.length == 1)
-    cache.selectMany(Seq((0, os(-5, 3)), (1, os(Int.MinValue, 3))))
-    assert(recorder.batches.last == Seq((0, os(-5)), (1, os(Int.MinValue))))
+    cache.selectMany(Seq((0, os(-5, 3), 0, 0), (1, os(Int.MinValue, 3), 1, 1)))
+    assert(asked(recorder).last == Seq((0, os(-5)), (1, os(Int.MinValue))))
     // A snapshot covers its timestamp for selectMany too.
     assert(cache.snapshot(1).length == 3)
-    cache.selectMany(Seq((1, os(0, 1, 2))))
+    cache.selectMany(Seq((1, os(0, 1, 2), 1, 1)))
     assert(recorder.batches.length == 2)
     assert(cache.pointsRead == 4 + 2 + 3)
   }
 
   test("a selectMany answer out of oid order fails loudly") {
     val reversed = new RecordingStore(new MemStore(data)) {
-      override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = super.selectMany(reqs).map(_.reverse)
+      override def selectMany(reqs: Seq[(Int, ObjSet, Int, Int)]): Seq[(Int, Seq[Array[Pt]])] =
+        super.selectMany(reqs).map { case (lo, got) => (lo, got.map(_.reverse)) }
     }
-    assertThrows[IllegalStateException](new PointCache(reversed).selectMany(Seq((1, os(-5, 3)), (0, os(Int.MinValue, -5, 3)))))
+    assertThrows[IllegalStateException](new PointCache(reversed).selectMany(Seq((1, os(-5, 3), 1, 1), (0, os(Int.MinValue, -5, 3), 0, 0))))
   }
 
   test("a store answer out of oid order fails loudly") {

@@ -8,11 +8,11 @@ import repro.core.ObjSets.ObjSet
 /** Test decorator that records every call it forwards to `underlying` and
   * every `(t, oid)` the underlying store returned. It forwards the batched
   * members too, so a decorated store keeps its own overrides of them:
-  *   - a `selectMany` is one entry of `batches`, not one `calls` entry per
-  *     request;
+  *   - a `selectMany` (and so a `selectAround`) is one entry of `batches`,
+  *     not one `calls` entry per request: each request with the span it was
+  *     answered over;
   *   - a `snapshots` is one entry of `snapshotBatches`, and one snapshot
-  *     `calls` entry per timestamp it asked for;
-  *   - a `selectAround` is one entry of `spans`, with the span it answered.
+  *     `calls` entry per timestamp it asked for.
   *
   * `threads` holds every thread that called one of the read members.
   */
@@ -20,9 +20,8 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
   import RecordingStore.{Around, Call}
 
   val calls = mutable.ArrayBuffer.empty[Call]
-  val batches = mutable.ArrayBuffer.empty[Seq[(Int, ObjSet)]]
+  val batches = mutable.ArrayBuffer.empty[Seq[Around]]
   val snapshotBatches = mutable.ArrayBuffer.empty[Seq[Int]]
-  val spans = mutable.ArrayBuffer.empty[Around]
   val returned = mutable.ArrayBuffer.empty[(Int, Int)]
   val threads: java.util.Set[Thread] = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
 
@@ -34,11 +33,11 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
 
   override def select(t: Int, oids: ObjSet): Array[Pt] = record(Call(t, Some(oids)), underlying.select(t, oids))
 
-  override def selectMany(reqs: Seq[(Int, ObjSet)]): Seq[Array[Pt]] = {
+  override def selectMany(reqs: Seq[(Int, ObjSet, Int, Int)]): Seq[(Int, Seq[Array[Pt]])] = {
     caller()
-    batches += reqs
     val got = underlying.selectMany(reqs)
-    reqs.lazyZip(got).foreach { case ((t, _), pts) => returned ++= pts.iterator.map(p => (t, p.oid)) }
+    batches += reqs.lazyZip(got).map { case ((t, oids, t0, t1), (lo, pts)) => Around(t, oids, t0, t1, lo, pts.length) }
+    got.foreach { case (lo, pts) => pts.iterator.zipWithIndex.foreach { case (at, i) => returned ++= at.iterator.map(p => (lo + i, p.oid)) } }
     got
   }
 
@@ -47,14 +46,6 @@ class RecordingStore(underlying: TrajectoryStore) extends TrajectoryStore {
     val got = underlying.snapshots(times)
     times.lazyZip(got).foreach((t, pts) => record(Call(t, None), pts))
     got
-  }
-
-  override def selectAround(t: Int, oids: ObjSet, t0: Int, t1: Int): (Int, Seq[Array[Pt]]) = {
-    caller()
-    val (lo, got) = underlying.selectAround(t, oids, t0, t1)
-    spans += Around(t, oids, t0, t1, lo, got.length)
-    got.iterator.zipWithIndex.foreach { case (pts, i) => returned ++= pts.iterator.map(p => (lo + i, p.oid)) }
-    (lo, got)
   }
 
   private def caller(): Unit = threads.add(Thread.currentThread())
@@ -75,6 +66,6 @@ object RecordingStore {
   /** One store call: a snapshot of `t` when `oids` is `None`, else a select. */
   final case class Call(t: Int, oids: Option[ObjSet])
 
-  /** One `selectAround(t, oids, t0, t1)`, answered over `[lo, lo + n)`. */
+  /** One `selectMany` request `(t, oids, t0, t1)`, answered over `[lo, lo + n)`. */
   final case class Around(t: Int, oids: ObjSet, t0: Int, t1: Int, lo: Int, n: Int)
 }

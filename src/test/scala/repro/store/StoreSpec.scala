@@ -103,13 +103,32 @@ class StoreSpec extends AnyFunSuite {
     val random = Seq.fill(12)(Seq.fill(1 + rng.nextInt(4))((rng.nextInt(6) - 1) -> all.filter(_ => rng.nextBoolean())))
     withStores(signed) { (name, s) =>
       for ((batch, i) <- (fixed ++ random).zipWithIndex) {
-        val reqs = batch.map { case (t, oids) => (t, ObjSets.of(oids)) }
+        val reqs = batch.map { case (t, oids) => (t, ObjSets.of(oids), t, t) }
         s.resetCounters()
         val got = s.selectMany(reqs)
         val ctx = s"$name batch $i: $reqs"
-        assert(got.map(_.toSeq) == reqs.map { case (t, oids) => signed.select(t, oids).toSeq }, ctx)
-        if (name != "file") assert(s.pointsRead == got.map(_.length).sum, ctx)
+        assert(got.map { case (lo, pts) => (lo, pts.map(_.toSeq)) } == reqs.map { case (t, oids, _, _) => (t, Seq(signed.select(t, oids).toSeq)) }, ctx)
+        assert(chargedRight(name, signed, reqs, got, s.pointsRead), ctx)
       }
+    }
+  }
+
+  /** Whether `read` is what a `selectMany(reqs)` that answered `got` may
+    * charge on the store `name` over `d`. MemStore and LsmStore charge one
+    * `select` per request. DuckDB's key join charges each point it answers
+    * once, however many key rows match it, and its range reads for a batch
+    * of one live request charge at least what they answer. FileStore charges
+    * the whole file on open.
+    */
+  private def chargedRight(name: String, d: TrajData, reqs: Seq[(Int, ObjSet, Int, Int)], got: Seq[(Int, Seq[Array[Pt]])], read: Long): Boolean = {
+    lazy val distinct = got.iterator.flatMap { case (lo, pts) =>
+      pts.iterator.zipWithIndex.flatMap { case (at, i) => at.iterator.map(p => (lo.toLong + i, p.oid)) }
+    }.toSet.size
+    lazy val live = reqs.count { case (t, oids, _, _) => oids.nonEmpty && t >= d.ts && t <= d.te }
+    name match {
+      case "file" => true
+      case "rdbms" => if (live >= 2) read == distinct else read >= distinct
+      case _ => read == got.iterator.map(_._2.map(_.length).sum).sum
     }
   }
 
@@ -181,6 +200,61 @@ class StoreSpec extends AnyFunSuite {
     assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
   }
 
+  /** A `selectMany` request: as a `selectAround` of `genOps`, or with no oids. */
+  private def genRequest(d: TrajData): Gen[(Int, ObjSet, Int, Int)] = for {
+    t <- genT(d)
+    oids <- Gen.frequency(1 -> Gen.const(Nil), 4 -> Gen.someOf(pool :+ 12345))
+    (a, b) <- Gen.frequency(1 -> Gen.const((0L, 0L)), 3 -> Gen.zip(Gen.choose(0L, 4L), Gen.choose(0L, 4L)))
+  } yield (t, ObjSets.of(oids), math.max(Int.MinValue, t - a).toInt, math.min(Int.MaxValue, t + b).toInt)
+
+  /** Batches of 1 to 5 requests over a few timestamps, so their spans
+    * overlap often; some batches repeat their first request at the end.
+    */
+  private def genBatches(d: TrajData): Gen[List[List[(Int, ObjSet, Int, Int)]]] = {
+    val batch = for {
+      reqs <- Gen.choose(1, 5).flatMap(Gen.listOfN(_, genRequest(d)))
+      dup <- Gen.oneOf(false, true)
+    } yield if (dup) reqs :+ reqs.head else reqs
+    Gen.listOfN(6, batch)
+  }
+
+  /** `selectMany` of each batch against `select` and the data at every
+    * timestamp of each answered span, on one store; with `charge`, also what
+    * the store charged, and that DuckDB answers every live request over its
+    * whole span clipped to `[ts, te]`. `None` if all hold, else what went
+    * wrong.
+    */
+  private def spanReadsAgree(name: String, d: TrajData, s: TrajectoryStore, batches: List[List[(Int, ObjSet, Int, Int)]],
+      charge: Boolean): Option[String] =
+    batches.iterator.map { reqs =>
+      val before = s.pointsRead
+      val got = s.selectMany(reqs)
+      val read = s.pointsRead - before
+      val spansOk = got.length == reqs.length && reqs.lazyZip(got).forall { case ((t, oids, t0, t1), (lo, pts)) =>
+        val hi = lo.toLong + pts.length - 1
+        val whole = !charge || name != "rdbms" || oids.isEmpty || t < d.ts || t > d.te || (lo == math.max(t0, d.ts) && hi == math.min(t1, d.te))
+        lo <= t && t <= hi && t0 <= lo && hi <= t1 && whole && pts.indices.forall { i =>
+          val u = lo + i
+          pts(i).toSeq == s.select(u, oids).toSeq && pts(i).toSeq == d.select(u, oids).toSeq
+        }
+      }
+      Option.when(!spansOk || (charge && !chargedRight(name, d, reqs, got, read)))(
+        s"selectMany($reqs) answered ${got.map { case (lo, pts) => s"[$lo, ${lo.toLong + pts.length - 1}]" }.mkString(", ")}, charged $read")
+    }.collectFirst { case Some(e) => e }
+
+  test("property: selectMany of span requests answers as select at every timestamp of each span, on every store and through a PointCache") {
+    val prop = Prop.forAllNoShrink(genData.flatMap(d => genBatches(d).map((d, _)))) { case (d, batches) =>
+      val failures = mutable.ArrayBuffer.empty[String]
+      withStores(d) { (name, s) =>
+        spanReadsAgree(name, d, s, batches, charge = true).foreach(e => failures += s"$name: $e")
+        spanReadsAgree(name, d, new PointCache(s), batches, charge = false).foreach(e => failures += s"cache over $name: $e")
+      }
+      failures.isEmpty :| s"[${d.ts}, ${d.te}] ${d.byTime.map(_.map(_.oid).mkString("{", ",", "}")).mkString(" ")}: ${failures.mkString("; ")}"
+    }
+    val result = org.scalacheck.Test.check(org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(60), prop)
+    assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
+  }
+
   test("select outside the time range is empty") {
     withStores(data) { (name, s) =>
       assert(s.select(data.te + 10, ObjSets.of(Seq(1))).isEmpty, name)
@@ -237,11 +311,11 @@ class StoreSpec extends AnyFunSuite {
 
   test("k/2-hop produces identical convoys on every store") {
     val p = repro.core.KHalfHop.Params(3, 30, 25.0)
-    val expected = repro.core.KHalfHop.run(new MemStore(data), p)._1
+    val (expected, report) = repro.core.KHalfHop.run(new MemStore(data), p)
     assert(expected.nonEmpty, "fixture should contain convoys")
     withStores(data) { (name, s) =>
-      val (got, _) = repro.core.KHalfHop.run(s, p)
-      assert(got == expected, name)
+      val (got, r) = repro.core.KHalfHop.run(s, p)
+      assert(got == expected && r.pointsProcessed == report.pointsProcessed, name)
     }
   }
 
