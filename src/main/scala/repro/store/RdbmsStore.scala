@@ -17,13 +17,14 @@ import repro.core.ObjSets.ObjSet
   * them:
   *   - benchmark snapshots: `snapshots` reads all of them in one query with
   *     an IN-list of the timestamps, and `snapshot` is its one-timestamp case;
-  *   - a `selectMany` batch of one request reads the request's whole span
-  *     with `WHERE t BETWEEN ? AND ? AND oid BETWEEN ? AND ?` range reads over
-  *     the index, one per dense run of its oids. `select` and `selectAround`
-  *     (extension and validation) are such batches;
-  *   - a batch of two or more requests (HWMT's hop-window interiors) is one
-  *     join of exact `(t0, t1, oid)` key rows with `traj`, which reads every
-  *     request's whole span.
+  *   - a `selectMany` batch of one live request (oids asked, `t` inside
+  *     `[ts, te]`) reads the request's whole span with `WHERE t BETWEEN ? AND
+  *     ? AND oid BETWEEN ? AND ?` range reads over the index, one per dense
+  *     run of its oids. `select` and `selectAround` (extension and
+  *     validation) are such batches; the key join below is slower for them;
+  *   - a batch of two or more live requests (HWMT's hop-window interiors) is
+  *     one join of exact `(t0, t1, oid)` key rows with `traj`, which reads
+  *     every request's whole span.
   *
   * Every row materialized over JDBC is charged to the read counter.
   */

@@ -263,17 +263,22 @@ class PointCacheSpec extends AnyFunSuite {
       try {
         val recorder = new RecordingStore(store)
         val ctx = s"seed $seed, k $k"
-        assert(KHalfHop.run(recorder, p)._1 == KHalfHop.run(new MemStore(data), p)._1, ctx)
+        val (convoys, report) = KHalfHop.run(recorder, p)
+        assert(convoys == KHalfHop.run(new MemStore(data), p)._1, ctx)
         val h = k / 2
-        recorder.batches.flatten.foreach { a =>
+        // On DuckDB HWMT makes the first batch, when some window with hop >= 2
+        // has candidates; every later batch is one extension or validation read.
+        val reads = recorder.batches.toSeq.drop(if (h >= 2 && report("cc").out > 0) 1 else 0)
+        assert(reads.forall(_.length == 1), s"$ctx: ${reads.map(_.length)}")
+        reads.flatten.foreach { a =>
           val b = data.ts + (a.t - data.ts) / h * h
           assert((a.t0, a.t1) == (if (b == a.t) (a.t, a.t) else (b + 1, math.min(b + h - 1, data.te))), s"$ctx: $a")
         }
         // Hop 1: every timestamp is a benchmark point, read whole by the one
         // snapshots call, and no read goes past it.
-        if (h == 1) assert(recorder.batches.flatten.forall(a => a.lo == a.t && a.n == 1) &&
+        if (h == 1) assert(reads.flatten.forall(a => a.lo == a.t && a.n == 1) &&
           recorder.snapshotBatches.toSeq == Seq(data.ts to data.te) && store.pointsRead == data.totalPoints, ctx)
-        spans += recorder.batches.flatten.length
+        spans += reads.length
       } finally store.close()
     }
     assert(spans > 0, "no extension or validation read reached the store")

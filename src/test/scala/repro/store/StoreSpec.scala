@@ -113,24 +113,34 @@ class StoreSpec extends AnyFunSuite {
     }
   }
 
-  /** Whether `read` is what a `selectMany(reqs)` that answered `got` may
-    * charge on the store `name` over `d`. MemStore and LsmStore charge one
-    * `select` per request. DuckDB's key join charges each point it answers
-    * once, however many key rows match it, and its range reads for a batch
-    * of one live request charge at least what they answer. FileStore charges
-    * the whole file on open.
+  /** Whether `read` is what a `selectMany(reqs)` that answered `got` charges
+    * on the store `name` over `d`. MemStore and LsmStore charge one `select`
+    * per request. FileStore charges the whole file on open. DuckDB reads the
+    * span of each live request (oids asked, `t` inside `[ts, te]`) clipped to
+    * `[ts, te]`: for a batch of one live request, every row in it whose oid
+    * lies in a dense run of the asked oids (runs split at gaps over
+    * `RdbmsStore.RunGap`), which its range reads fetch; for more, each
+    * `(t, oid)` asked in some span once, however many key rows match it.
     */
-  private def chargedRight(name: String, d: TrajData, reqs: Seq[(Int, ObjSet, Int, Int)], got: Seq[(Int, Seq[Array[Pt]])], read: Long): Boolean = {
-    lazy val distinct = got.iterator.flatMap { case (lo, pts) =>
-      pts.iterator.zipWithIndex.flatMap { case (at, i) => at.iterator.map(p => (lo.toLong + i, p.oid)) }
-    }.toSet.size
-    lazy val live = reqs.count { case (t, oids, _, _) => oids.nonEmpty && t >= d.ts && t <= d.te }
+  private def chargedRight(name: String, d: TrajData, reqs: Seq[(Int, ObjSet, Int, Int)], got: Seq[(Int, Seq[Array[Pt]])], read: Long): Boolean =
     name match {
       case "file" => true
-      case "rdbms" => if (live >= 2) read == distinct else read >= distinct
+      case "rdbms" =>
+        val live = reqs.collect { case (t, oids, t0, t1) if oids.nonEmpty && t >= d.ts && t <= d.te =>
+          (oids, math.max(t0, d.ts).toLong to math.min(t1, d.te).toLong)
+        }
+        read == (live match {
+          case Seq((oids, span)) =>
+            val runs = oids.foldLeft(List.empty[(Int, Int)]) {
+              case ((a, b) :: rest, o) if o.toLong - b <= RdbmsStore.RunGap => (a, o) :: rest
+              case (acc, o) => (o, o) :: acc
+            }
+            span.iterator.map(u => d.snapshot(u.toInt).count(p => runs.exists { case (a, b) => a <= p.oid && p.oid <= b })).sum
+          case _ =>
+            live.iterator.flatMap { case (oids, span) => span.iterator.flatMap(u => d.select(u.toInt, oids).iterator.map(p => (u, p.oid))) }.toSet.size
+        })
       case _ => read == got.iterator.map(_._2.map(_.length).sum).sum
     }
-  }
 
   /** Random datasets for the batched access paths: up to 7 timestamps, some
     * empty, starting at 0, below 0 or at either end of the `Int` range; oids
