@@ -84,7 +84,8 @@ object KHalfHop {
     *   - `hwmt(bps, cc)`: each hop-window's spanning convoys (Algorithm 2);
     *   - `pruned(vm)`: a `select` that covers the objects of the maximal
     *     spanning convoys `vm`, for extension and validation. It runs in
-    *     the `merge` phase.
+    *     the `merge` phase, so a reader that reads ahead for `vm` before it
+    *     returns (as [[run]]'s does) is charged to `merge`.
     *
     * The readers count the points they cluster into `counter`, which the
     * report gives as `pointsProcessed`.
@@ -127,27 +128,51 @@ object KHalfHop {
     *     interior. A store that reads the whole span (DuckDB) reads every
     *     live window's interior at the first level, in one call, and the
     *     later levels come from the cache;
+    *   - a read-ahead of each pass's first step, in the `merge` phase: one
+    *     `selectMany` call with one request per timestamp `v.te + 1` and
+    *     `v.ts - 1` of the maximal spanning convoys `v` inside `[ts, te]`,
+    *     for the union of the objects of the convoys that start a pass
+    *     there. Each pass's first step reads exactly those timestamps, for
+    *     those objects or a subset of them. On DuckDB the batch is one join,
+    *     so extension's walk through those hop-windows comes from the
+    *     cache. A left request reads all of `v`'s objects, and the left pass
+    *     asks for fewer where the right pass leaves no convoy that starts at
+    *     `v.ts` with them;
     *   - extension and validation through `selectAround`, offering the
     *     interior of the hop-window that holds each `t`,
-    *     `[b + 1, min(b + h - 1, te)]`. A store that reads the whole span
-    *     answers the rest of the convoy's walk through that window from the
-    *     cache. A benchmark point is offered alone: it is cached whole.
+    *     `[b + 1, min(b + h - 1, te)]`, as the read-ahead does. A store that
+    *     reads the whole span answers the rest of the convoy's walk through
+    *     that window from the cache. A benchmark point is offered alone: it
+    *     is cached whole.
     */
   def run(store: TrajectoryStore, p: Params): (Vector[Convoy], RunReport) = {
     val counter = new PointCounter
     val cache = new PointCache(store)
     val (ts, te, h) = (store.ts, store.te, p.k / 2)
-    val select = (t: Int, oids: ObjSet) => {
-      // In Long: `b + h` wraps for timestamps near Int.MaxValue.
+    // The span offered at `t`: its hop-window's interior, or `t` alone at a
+    // benchmark point or past `te`. In Long: `b + h` wraps near Int.MaxValue.
+    val around = (t: Int) => {
       val b = ts + Math.floorDiv(t.toLong - ts, h.toLong) * h
-      val (t0, t1) = if (b == t || t > te) (t, t) else ((b + 1).toInt, math.min(b + h - 1, te.toLong).toInt)
+      if (b == t || t > te) (t, t) else ((b + 1).toInt, math.min(b + h - 1, te.toLong).toInt)
+    }
+    val select = (t: Int, oids: ObjSet) => {
+      val (t0, t1) = around(t)
       val (lo, got) = cache.selectAround(t, oids, t0, t1)
       got(t - lo)
+    }
+    // Each pass's first step, `v.te + 1` and `v.ts - 1`, read ahead in one
+    // batch. Convoys that share a timestamp share its request, so no
+    // `(t, oid)` is asked for twice.
+    val readAhead = (vm: Vector[Convoy]) => {
+      val firsts = vm.flatMap(v => Seq(v.te.toLong + 1 -> v.objs, v.ts.toLong - 1 -> v.objs)).filter(f => f._1 >= ts && f._1 <= te)
+      val byTime = firsts.groupMapReduce(_._1.toInt)(_._2)(ObjSets.union).toSeq.sortBy(_._1)
+      cache.selectMany(byTime.map { case (t, objs) => val (t0, t1) = around(t); (t, objs, t0, t1) })
+      select
     }
     mine(ts, te, p, counter)(
       bps => counter.clusterAll(cache.snapshots(bps), p.eps, p.m),
       HWMT.mineWindows(cache.selectMany, _, _, p.eps, p.m, counter),
-      _ => select,
+      readAhead,
     )
   }
 }

@@ -20,11 +20,13 @@ import repro.core.ObjSets.ObjSet
   *   - a `selectMany` batch of one live request (oids asked, `t` inside
   *     `[ts, te]`) reads the request's whole span with `WHERE t BETWEEN ? AND
   *     ? AND oid BETWEEN ? AND ?` range reads over the index, one per dense
-  *     run of its oids. `select` and `selectAround` (extension and
-  *     validation) are such batches; the key join below is slower for them;
-  *   - a batch of two or more live requests (HWMT's hop-window interiors) is
-  *     one join of exact `(t0, t1, oid)` key rows with `traj`, which reads
-  *     every request's whole span.
+  *     run of its oids. `select` and `selectAround` (the extension and
+  *     validation reads past k/2-hop's read-ahead) are such batches; the key
+  *     join below is slower for them;
+  *   - a batch of two or more live requests (HWMT's hop-window interiors,
+  *     and k/2-hop's read-ahead of each extension pass's first step) is one
+  *     join of exact `(t0, t1, oid)` key rows with `traj`, which reads every
+  *     request's whole span.
   *
   * Every row materialized over JDBC is charged to the read counter.
   */

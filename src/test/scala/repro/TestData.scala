@@ -2,8 +2,10 @@ package repro
 
 import scala.util.Random
 
-import repro.core.Pt
-import repro.store.TrajData
+import repro.core.{Convoy, DBSCAN, HWMT, KHalfHop, Merge, ObjSets, PointCounter, Pt}
+import repro.core.ObjSets.ObjSet
+import repro.store.{PointCache, RecordingStore, TrajData, TrajectoryStore}
+import repro.store.RecordingStore.Around
 
 /** Tiny deterministic datasets for correctness tests.
   *
@@ -42,6 +44,38 @@ object TestData {
       pts
     }
     TrajData(0, nTs - 1, byTime)
+  }
+
+  /** The read-ahead batch that `KHalfHop.run` asks its cache for at hop
+    * `k / 2`, given the maximal spanning convoys `vm` of `data`: one request
+    * per timestamp where a pass of extension starts, `v.te + 1` or
+    * `v.ts - 1` of some `v` inside `[ts, te]`, for the union of those
+    * convoys' objects, offering the interior of the timestamp's hop-window
+    * (`t` alone at a benchmark point). In timestamp order.
+    */
+  def readAhead(data: TrajData, k: Int, vm: Seq[Convoy]): Seq[(Int, ObjSet, Int, Int)] = {
+    val h = k / 2
+    vm.flatMap(v => Seq(v.te + 1 -> v.objs, v.ts - 1 -> v.objs)).filter { case (t, _) => t >= data.ts && t <= data.te }
+      .groupMapReduce(_._1)(_._2)(ObjSets.union).toSeq.sortBy(_._1).map { case (t, objs) =>
+        val b = data.ts + (t - data.ts) / h * h
+        if (b == t) (t, objs, t, t) else (t, objs, b + 1, math.min(b + h - 1, data.te))
+      }
+  }
+
+  /** `KHalfHop.run`'s reads up to extension, replayed on a fresh cache over
+    * `store`, which holds `data`: the benchmark snapshots, HWMT, then the
+    * [[readAhead]] of the maximal spanning convoys. Returns the convoys, and
+    * the batches that HWMT and the read-ahead made as `store` saw them.
+    */
+  def replayToExtension(data: TrajData, store: TrajectoryStore, p: KHalfHop.Params): (Vector[Convoy], Seq[Seq[Around]], Seq[Seq[Around]]) = {
+    val recorder = new RecordingStore(store)
+    val cache = new PointCache(recorder)
+    val bps = KHalfHop.benchmarkPoints(data.ts, data.te, p.k)
+    val cc = KHalfHop.candidates(cache.snapshots(bps).map(DBSCAN.cluster(_, p.eps, p.m)).toVector, p.m)
+    val vm = Merge.mergeSpanning(HWMT.mineWindows(cache.selectMany, bps, cc, p.eps, p.m, new PointCounter), p.m)
+    val hwmt = recorder.batches.toSeq
+    cache.selectMany(readAhead(data, p.k, vm))
+    (vm, hwmt, recorder.batches.toSeq.drop(hwmt.length))
   }
 
   /** Hand-build a dataset from per-timestamp (oid, x, y) triples. */

@@ -119,14 +119,54 @@ class KHalfHopStatsSpec extends AnyFunSuite {
       val spanning = HWMT.mineWindows(cache.selectMany, bps, cc, p.eps, p.m, new PointCounter)
       assert(recorder.calls.length == snapshots, s"HWMT made a per-window select for $p")
       assert(recorder.batches.length <= levels, s"${recorder.batches.length} batched calls for $levels levels, $p")
-      // The whole run issues exactly those batches, then extension's and
-      // validation's one-request reads, and finds the same spanning convoys.
+      val hwmtBatches = recorder.batches.toSeq
+      cache.selectMany(TestData.readAhead(data, p.k, Merge.mergeSpanning(spanning, p.m)))
+      val ahead = recorder.batches.toSeq.drop(hwmtBatches.length)
+      assert(ahead.length <= 1, s"$p")
+      // The whole run issues exactly those batches, then the one read-ahead
+      // batch, then extension's and validation's one-request reads, and finds
+      // the same spanning convoys.
       val runRecorder = new RecordingStore(new MemStore(data))
       val (_, report) = KHalfHop.run(runRecorder, p)
-      val (hwmt, rest) = runRecorder.batches.splitAt(recorder.batches.length)
-      assert(hwmt == recorder.batches && rest.forall(_.length == 1), s"$p")
+      val (hwmt, rest) = runRecorder.batches.toSeq.splitAt(hwmtBatches.length)
+      assert(hwmt == hwmtBatches && rest.take(ahead.length) == ahead && rest.drop(ahead.length).forall(_.length == 1), s"$p")
       assert(report.spanningConvoys == spanning.iterator.map(_.length).sum, s"$p")
     }
+  }
+
+  test("the read-ahead batch asks for each maximal spanning convoy's first step past each end, clipped to [ts, te]") {
+    // Two trios together over [4, 13] and apart elsewhere: their convoys
+    // start and end at the same timestamps, so they share both requests.
+    val twin = TestData.fromTriples((0 to 20).flatMap { t =>
+      val gap = if (t >= 4 && t <= 13) 1.0 else 3.0
+      TestData.line(t, 0 -> 0.0, 1 -> gap, 2 -> 2 * gap, 5 -> 10 * gap, 6 -> 11 * gap, 7 -> 12 * gap)
+    })
+    assert(TestData.readAhead(twin, 4, TestData.replayToExtension(twin, new MemStore(twin), Params(3, 4, 1.5))._1) ==
+      Seq((3, ObjSets.of(Seq(0, 1, 2, 5, 6, 7)), 3, 3), (13, ObjSets.of(Seq(0, 1, 2, 5, 6, 7)), 13, 13)))
+    val cases = Seq((twin, Params(3, 4, 1.5))) ++ Seq(20, 40).map(k => (TrajGen.trucksLite(scale = 0.3), Params(3, k, 25.0))) ++
+      (for (seed <- 1L to 10L; k <- Seq(2, 3, 4, 8)) yield (TestData.randomTiny(seed, 8, 30), Params(2, k, TestData.GridEps)))
+    var (clipped, batches) = (0, 0)
+    for ((data, p) <- cases) {
+      val (vm, hwmt, _) = TestData.replayToExtension(data, new MemStore(data), p)
+      // MemStore answers each HWMT request at its `t` alone, and every
+      // benchmark point is a snapshot: the cache drops what those covered.
+      val asked = hwmt.flatten.groupMapReduce(_.t)(_.oids)(ObjSets.union)
+      val bps = KHalfHop.benchmarkPoints(data.ts, data.te, p.k).toSet
+      val expected = TestData.readAhead(data, p.k, vm).filterNot(r => bps(r._1)).map { case (t, objs, t0, t1) =>
+        (t, objs.filterNot(o => asked.get(t).exists(ObjSets.contains(_, o))), t0, t1)
+      }.filter(_._2.nonEmpty)
+      if (vm.exists(v => v.ts == data.ts || v.te == data.te)) clipped += 1
+      val recorder = new RecordingStore(new MemStore(data))
+      val (_, report) = KHalfHop.run(recorder, p)
+      assert(report("merge").out == vm.length, s"$p")
+      val rest = recorder.batches.toSeq.drop(hwmt.length)
+      if (expected.nonEmpty) {
+        batches += 1
+        assert(rest.head.map(a => (a.t, a.oids, a.t0, a.t1)) == expected && rest.head.forall(a => a.lo == a.t && a.n == 1), s"$p")
+      }
+      if (p.k / 2 == 1) assert(expected.isEmpty, s"$p: a read-ahead request at hop 1 reached the store")
+    }
+    assert(clipped > 0 && batches > 2, s"$clipped runs with a convoy at ts or te, $batches read-ahead batches")
   }
 
   test("on DuckDB, HWMT reads every hop-window's interior in one store call, and makes none at k = 2 or 3") {
@@ -152,15 +192,21 @@ class KHalfHopStatsSpec extends AnyFunSuite {
     assert(windows > 2, "too few cases with candidates in a window of hop >= 2")
   }
 
-  test("a k=20 query on T-Drive-lite x2 over DuckDB makes 18 store calls") {
-    val store = RdbmsStore.create(TrajGen.tdriveLite(2.0, 11))
+  test("a k=20 query on T-Drive-lite x2 over DuckDB makes 3 store calls") {
+    val data = TrajGen.tdriveLite(2.0, 11)
+    val p = Params(3, 20, 25.0)
+    val store = RdbmsStore.create(data)
     try {
+      val (_, hwmt, ahead) = TestData.replayToExtension(data, store, p)
       val recorder = new RecordingStore(store)
-      KHalfHop.run(recorder, Params(3, 20, 25.0))
-      // Every read of the run is one `snapshots` or one `selectMany`.
+      KHalfHop.run(recorder, p)
+      // Every read of the run is one `snapshots` or one `selectMany`: the
+      // benchmark snapshots, HWMT's one join, then the read-ahead's, which
+      // leaves extension and validation nothing to read.
       val calls = recorder.snapshotBatches.length + recorder.batches.length
       assert(recorder.calls.length == recorder.snapshotBatches.map(_.length).sum, "a bare select or snapshot reached the store")
-      assert(calls == 18, s"$calls store calls")
+      assert(calls == 3, s"$calls store calls")
+      assert(recorder.batches.toSeq == hwmt ++ ahead && hwmt.length == 1 && ahead.length == 1 && ahead.head.length > 1)
     } finally store.close()
   }
 

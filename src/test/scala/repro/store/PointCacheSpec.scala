@@ -255,33 +255,39 @@ class PointCacheSpec extends AnyFunSuite {
   }
 
   test("k/2-hop offers selectAround the interior of t's hop-window; with k = 2 or 3 (hop 1), t alone") {
-    var spans = 0
+    var (aheads, spans) = (0, 0)
     for (seed <- 1L to 6L; k <- Seq(2, 3, 4, 7, 10)) {
       val data = TestData.randomTiny(seed, 8, 30)
       val p = KHalfHop.Params(2, k, TestData.GridEps)
       val store = RdbmsStore.create(data)
       try {
+        val (_, hwmt, ahead) = TestData.replayToExtension(data, store, p)
+        store.resetCounters()
         val recorder = new RecordingStore(store)
         val ctx = s"seed $seed, k $k"
         val (convoys, report) = KHalfHop.run(recorder, p)
         assert(convoys == KHalfHop.run(new MemStore(data), p)._1, ctx)
         val h = k / 2
         // On DuckDB HWMT makes the first batch, when some window with hop >= 2
-        // has candidates; every later batch is one extension or validation read.
-        val reads = recorder.batches.toSeq.drop(if (h >= 2 && report("cc").out > 0) 1 else 0)
-        assert(reads.forall(_.length == 1), s"$ctx: ${reads.map(_.length)}")
-        reads.flatten.foreach { a =>
+        // has candidates, and the read-ahead the next, when it asks for
+        // anything; every later batch is one extension or validation read.
+        assert(hwmt.length == (if (h >= 2 && report("cc").out > 0) 1 else 0), ctx)
+        val (ran, reads) = recorder.batches.toSeq.splitAt(hwmt.length + ahead.length)
+        assert(ran == hwmt ++ ahead && reads.forall(_.length == 1), s"$ctx: ${reads.map(_.length)}")
+        (ahead ++ reads).flatten.foreach { a =>
           val b = data.ts + (a.t - data.ts) / h * h
           assert((a.t0, a.t1) == (if (b == a.t) (a.t, a.t) else (b + 1, math.min(b + h - 1, data.te))), s"$ctx: $a")
         }
         // Hop 1: every timestamp is a benchmark point, read whole by the one
-        // snapshots call, and no read goes past it.
-        if (h == 1) assert(reads.flatten.forall(a => a.lo == a.t && a.n == 1) &&
+        // snapshots call, so no read-ahead request reaches the store and no
+        // read goes past it.
+        if (h == 1) assert(ahead.isEmpty && reads.flatten.forall(a => a.lo == a.t && a.n == 1) &&
           recorder.snapshotBatches.toSeq == Seq(data.ts to data.te) && store.pointsRead == data.totalPoints, ctx)
+        aheads += ahead.flatten.length
         spans += reads.length
       } finally store.close()
     }
-    assert(spans > 0, "no extension or validation read reached the store")
+    assert(aheads > 0 && spans > 0, s"$aheads read-ahead requests and $spans extension or validation reads reached the store")
   }
 
   private val data = TrajData(0, 1, Array(
