@@ -9,17 +9,18 @@ import repro.core.ObjSets.ObjSet
   * `(t, oid)` is fetched from the store at most once.
   *
   * Per timestamp it keeps the points read so far, in ascending oid order,
-  * and the oids asked for; a `snapshot(t)` covers `t` whole. Each read makes
-  * at most one store call, of its own kind, and asks only for what is not
-  * covered yet:
-  *   - `snapshot` and `snapshots` read the timestamps not yet covered whole;
-  *   - `select` reads the oids not yet asked for at `t`;
+  * and the oids asked for; a snapshot covers `t` whole. It has two read
+  * paths, the two that k/2-hop uses, and each read makes at most one store
+  * call through them, asking only for what is not covered yet:
+  *   - `snapshots` reads the timestamps not yet covered whole;
   *   - `selectMany` (and so `selectAround`) asks, for each request, for the
   *     oids not yet asked for at its `t`, offering the request's span; it
   *     drops the requests left with nothing to ask. It files every timestamp
   *     of each span the store answered, so no later read of those oids
   *     inside it reaches the store, and answers each request for its `t`
   *     alone.
+  * `snapshot(t)` is a `snapshots` of `t`, and `select(t, oids)` a
+  * `selectAround` of `t` alone.
   * An object the store does not return stays asked for.
   *
   * Answers are exactly what the store would return, in ascending oid order,
@@ -43,15 +44,7 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
   override def te: Int = store.te
   override def totalPoints: Long = store.totalPoints
 
-  override def snapshot(t: Int): Array[Pt] = {
-    val at = cache.getOrNull(t)
-    if ((at ne null) && (at.asked eq null)) at.pts
-    else {
-      val pts = store.snapshot(t)
-      cache(t) = new At(pts, null)
-      pts
-    }
-  }
+  override def snapshot(t: Int): Array[Pt] = snapshots(Seq(t)).head
 
   override def snapshots(times: Seq[Int]): Seq[Array[Pt]] = {
     val ask = times.distinct.filter { t => val at = cache.getOrNull(t); (at eq null) || (at.asked ne null) }
@@ -64,11 +57,7 @@ final class PointCache(store: TrajectoryStore) extends TrajectoryStore {
     times.map(cache(_).pts)
   }
 
-  override def select(t: Int, oids: ObjSet): Array[Pt] = {
-    val ask = uncovered(t, oids)
-    if (ask.nonEmpty) add(t, ask, store.select(t, ask))
-    lookup(t, oids)
-  }
+  override def select(t: Int, oids: ObjSet): Array[Pt] = selectAround(t, oids, t, t)._2.head
 
   override def selectMany(reqs: Seq[(Int, ObjSet, Int, Int)]): Seq[(Int, Seq[Array[Pt]])] = {
     reqs.foreach { case (t, _, t0, t1) => TrajectoryStore.requireHolds(t, t0, t1) }

@@ -12,13 +12,16 @@ import repro.core.ObjSets.ObjSet
   *      `selectMany` for many requests at once. A request `(t, oids, t0, t1)`
   *      offers the store the span `[t0, t1]` around `t`, and is answered with
   *      `select`'s answers over a span of the store's choosing inside it.
-  *      HWMT offers each request its hop-window's interior, extension and
-  *      validation read one request at a time through `selectAround`.
+  *      HWMT offers each request its hop-window's interior, and k/2-hop
+  *      reads ahead each extension pass's first step in one batch; later
+  *      extension and validation reads are one request each, through
+  *      `selectAround`.
   *
   * A store overrides four read members at most: `snapshot`, `select`,
   * `snapshots` and `selectMany`. The batched two default to one `snapshot`
   * or `select` per timestamp; a store whose round trip is costly overrides
-  * them.
+  * them, and may answer the single two as one-element batches, as
+  * `RdbmsStore` and `PointCache` do.
   *
   * Implementations also maintain I/O counters so benches can report the
   * storage-level cost alongside the algorithm-level "points processed"
@@ -111,10 +114,6 @@ final case class TrajData(ts: Int, te: Int, byTime: Array[Array[Pt]]) {
   /** Flat (t, point) iterator, useful for loading stores and Spark frames. */
   def iterator: Iterator[(Int, Pt)] =
     byTime.iterator.zipWithIndex.flatMap { case (pts, i) => pts.iterator.map(p => (ts + i, p)) }
-
-  /** Restrict to the objects in `objs` (used to build per-convoy views). */
-  def restrictTo(objs: ObjSet): TrajData =
-    TrajData(ts, te, byTime.map(_.filter(p => repro.core.ObjSets.contains(objs, p.oid))))
 }
 
 object TrajData {

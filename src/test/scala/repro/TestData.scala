@@ -78,6 +78,12 @@ object TestData {
     (vm, hwmt, recorder.batches.toSeq.drop(hwmt.length))
   }
 
+  /** `data` restricted to the objects in `objs` (per-convoy views for the
+    * brute-force oracle).
+    */
+  def restrictTo(data: TrajData, objs: ObjSet): TrajData =
+    TrajData(data.ts, data.te, data.byTime.map(_.filter(p => ObjSets.contains(objs, p.oid))))
+
   /** Hand-build a dataset from per-timestamp (oid, x, y) triples. */
   def fromTriples(triples: Seq[(Int, Int, Double, Double)]): TrajData =
     TrajData.fromPoints(triples.map { case (t, oid, x, y) => (t, Pt(oid, x, y)) })

@@ -102,7 +102,7 @@ class ValidateSpec extends AnyFunSuite {
     assert(fc == Vector(Convoy(os(1, 2, 3), 1, 6)))
     // Cross-check against the definitional oracle *on the restriction to
     // abcd* (in the full dataset {a,b,c,d,e} is itself FC and subsumes abc).
-    val bfRestricted = BruteForce.maximalFCConvoys(data.restrictTo(os(1, 2, 3, 4)), p)
+    val bfRestricted = BruteForce.maximalFCConvoys(TestData.restrictTo(data, os(1, 2, 3, 4)), p)
     assert(bfRestricted == Vector(Convoy(os(1, 2, 3), 1, 6)))
     val bfFull = BruteForce.maximalFCConvoys(data, p)
     assert(bfFull == Vector(Convoy(os(1, 2, 3, 4, 5), 1, 6)))
@@ -123,7 +123,7 @@ class ValidateSpec extends AnyFunSuite {
     // The recursion's fixpoint must equal the definitional FC oracle on the
     // restriction to the candidate's objects.
     val fc = Validate.fullyConnected(Seq(v), sel(store), eps, m, k, new PointCounter)
-    val bfRestricted = BruteForce.maximalFCConvoys(data.restrictTo(v.objs), KHalfHop.Params(m, k, eps))
+    val bfRestricted = BruteForce.maximalFCConvoys(TestData.restrictTo(data, v.objs), KHalfHop.Params(m, k, eps))
     assert(ConvoySets.sorted(fc) == ConvoySets.sorted(bfRestricted))
     assert(oncePass.nonEmpty)
   }

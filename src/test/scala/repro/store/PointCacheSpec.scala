@@ -15,8 +15,8 @@ import repro.store.RecordingStore.{Around, Call}
   */
 class PointCacheSpec extends AnyFunSuite {
 
-  /** Oids the datasets draw from: extremes, negatives and gaps wider than
-    * `RdbmsStore`'s run split. 12345 is never stored, so it is always absent.
+  /** Oids the datasets draw from: extremes, negatives and wide gaps. 12345
+    * is never stored, so it is always absent.
     */
   private val oidPool = Vector(Int.MinValue, -70000, -9, -1, 0, 1, 2, 5, 63, 64, 200, 12345, 70000, Int.MaxValue)
   private val Ts = 10
@@ -80,7 +80,9 @@ class PointCacheSpec extends AnyFunSuite {
               val (got, calls, batches) = traffic(cache.select(t, oids))
               val ctx = s"$name seed $seed op $i select($t, $oids)"
               assert(got.toSeq == data.select(t, oids).toSeq, ctx)
-              assert(calls == (if (missing.isEmpty) Nil else Seq(Call(t, Some(missing)))) && batches.isEmpty, ctx)
+              // A miss is one batch of one request, for the missing oids at `t` alone.
+              assert(calls.isEmpty && batches.map(_.map(a => (a.t, a.oids, a.t0, a.t1, a.lo, a.n))) ==
+                (if (missing.isEmpty) Nil else Seq(Seq((t, missing, t, t, t, 1)))), ctx)
               covered(t) ++= oids
           }
           val (again, calls, batches) = traffic(cache.select(t, oids))
@@ -307,7 +309,9 @@ class PointCacheSpec extends AnyFunSuite {
     assert(cache.select(1, os(Int.MinValue, -5, 3, Int.MaxValue)).map(_.oid).toSeq == Seq(Int.MinValue, 3, Int.MaxValue))
     assert(cache.select(1, os(-5)).isEmpty)
     assert(cache.select(1, ObjSets.empty).isEmpty)
-    assert(recorder.calls.toSeq == Seq(Call(1, Some(os(-5, 3))), Call(1, Some(os(Int.MinValue, Int.MaxValue)))))
+    assert(recorder.calls.isEmpty)
+    assert(recorder.batches.toSeq.map(_.map(a => (a.t, a.oids, a.t0, a.t1))) ==
+      Seq(Seq((1, os(-5, 3), 1, 1)), Seq((1, os(Int.MinValue, Int.MaxValue), 1, 1))))
     assert(cache.pointsRead == 3)
   }
 
@@ -351,8 +355,10 @@ class PointCacheSpec extends AnyFunSuite {
   }
 
   test("a store answer out of oid order fails loudly") {
+    // A select reaches the store as a one-request selectMany.
     val reversed = new RecordingStore(new MemStore(data)) {
-      override def select(t: Int, oids: ObjSet): Array[Pt] = super.select(t, oids).reverse
+      override def selectMany(reqs: Seq[(Int, ObjSet, Int, Int)]): Seq[(Int, Seq[Array[Pt]])] =
+        super.selectMany(reqs).map { case (lo, got) => (lo, got.map(_.reverse)) }
     }
     assertThrows[IllegalStateException](new PointCache(reversed).select(0, os(Int.MinValue, -5, 3)))
   }

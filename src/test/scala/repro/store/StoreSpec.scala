@@ -115,12 +115,10 @@ class StoreSpec extends AnyFunSuite {
 
   /** Whether `read` is what a `selectMany(reqs)` that answered `got` charges
     * on the store `name` over `d`. MemStore and LsmStore charge one `select`
-    * per request. FileStore charges the whole file on open. DuckDB reads the
-    * span of each live request (oids asked, `t` inside `[ts, te]`) clipped to
-    * `[ts, te]`: for a batch of one live request, every row in it whose oid
-    * lies in a dense run of the asked oids (runs split at gaps over
-    * `RdbmsStore.RunGap`), which its range reads fetch; for more, each
-    * `(t, oid)` asked in some span once, however many key rows match it.
+    * per request. FileStore charges the whole file on open. DuckDB charges
+    * each `(t, oid)` asked in the span of some live request (oids asked, `t`
+    * inside `[ts, te]`), clipped to `[ts, te]`, once, however many key rows
+    * match it.
     */
   private def chargedRight(name: String, d: TrajData, reqs: Seq[(Int, ObjSet, Int, Int)], got: Seq[(Int, Seq[Array[Pt]])], read: Long): Boolean =
     name match {
@@ -129,27 +127,17 @@ class StoreSpec extends AnyFunSuite {
         val live = reqs.collect { case (t, oids, t0, t1) if oids.nonEmpty && t >= d.ts && t <= d.te =>
           (oids, math.max(t0, d.ts).toLong to math.min(t1, d.te).toLong)
         }
-        read == (live match {
-          case Seq((oids, span)) =>
-            val runs = oids.foldLeft(List.empty[(Int, Int)]) {
-              case ((a, b) :: rest, o) if o.toLong - b <= RdbmsStore.RunGap => (a, o) :: rest
-              case (acc, o) => (o, o) :: acc
-            }
-            span.iterator.map(u => d.snapshot(u.toInt).count(p => runs.exists { case (a, b) => a <= p.oid && p.oid <= b })).sum
-          case _ =>
-            live.iterator.flatMap { case (oids, span) => span.iterator.flatMap(u => d.select(u.toInt, oids).iterator.map(p => (u, p.oid))) }.toSet.size
-        })
+        read == live.iterator.flatMap { case (oids, span) => span.iterator.flatMap(u => d.select(u.toInt, oids).iterator.map(p => (u, p.oid))) }.toSet.size
       case _ => read == got.iterator.map(_._2.map(_.length).sum).sum
     }
 
   /** Random datasets for the batched access paths: up to 7 timestamps, some
     * empty, starting at 0, below 0 or at either end of the `Int` range; oids
-    * drawn from a pool with extremes, negatives and gaps of exactly `RunGap`
-    * and `RunGap + 1`, where `RdbmsStore` does or does not start a new range,
-    * and `RunGap / 2` between 0 and `RunGap`, which a range read of those two
-    * reads but must not return.
+    * drawn from a pool with extremes, negatives, gaps of exactly `G` and
+    * `G + 1`, and `G / 2` between 0 and `G`, so a store that read whole oid
+    * ranges would read oids that no request asked for.
     */
-  private val G = RdbmsStore.RunGap
+  private val G = 64
   private val pool = Vector(Int.MinValue, Int.MinValue + G, -200, -200 + G + 1, -200 + 2 * G + 1, -1, 0, G / 2, G, 2 * G + 1,
     5000, Int.MaxValue - G - 1, Int.MaxValue)
 
@@ -375,8 +363,8 @@ class StoreSpec extends AnyFunSuite {
     assert(td.byTime(2).map(_.oid).toSeq == Seq(1, 3))
   }
 
-  test("TrajData.restrictTo keeps only the given objects") {
-    val r = data.restrictTo(ObjSets.of(Seq(0, 1)))
+  test("TestData.restrictTo keeps only the given objects") {
+    val r = TestData.restrictTo(data, ObjSets.of(Seq(0, 1)))
     assert(r.iterator.forall { case (_, p) => p.oid == 0 || p.oid == 1 })
     assert(r.ts == data.ts && r.te == data.te)
   }
