@@ -44,7 +44,7 @@ object DBSCAN {
   def cluster(pts: Array[Pt], eps: Double, minPts: Int, indexed: Boolean = true): Vector[ObjSet] = {
     val n = pts.length
     if (n < minPts) return Vector.empty
-    val p = inOidOrder(pts)
+    val p = Pts.inOidOrder(pts)
     val nb: Neighbors = if (indexed && n >= ScanBelow) new Grid(p, eps) else new Scan(p, eps * eps)
 
     // label: Unseen, Noise, or the 1-based number of the cluster that holds
@@ -93,20 +93,6 @@ object DBSCAN {
       i += 1
     }
     clusters.result()
-  }
-
-  /** `pts` itself when its oids do not decrease, else a copy stably sorted by
-    * oid. Stores and `Pts.select` already answer in oid order.
-    */
-  private def inOidOrder(pts: Array[Pt]): Array[Pt] = {
-    var i = 1
-    while (i < pts.length && pts(i - 1).oid <= pts(i).oid) i += 1
-    if (i >= pts.length) pts
-    else {
-      val p = pts.clone()
-      java.util.Arrays.sort(p, (a: Pt, b: Pt) => Integer.compare(a.oid, b.oid))
-      p
-    }
   }
 
   /** The sorted, deduplicated oids of the first `size` points in `members`. */

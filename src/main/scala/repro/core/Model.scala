@@ -36,6 +36,21 @@ object Pts {
     if (n == out.length) out else java.util.Arrays.copyOf(out, n)
   }
 
+  /** `pts` itself when its oids do not decrease, else a copy stably sorted by
+    * oid: one pass for input already in order. DBSCAN orders its input with
+    * it, and `RdbmsStore` each timestamp of DuckDB's unsorted rows.
+    */
+  def inOidOrder(pts: Array[Pt]): Array[Pt] = {
+    var i = 1
+    while (i < pts.length && pts(i - 1).oid <= pts(i).oid) i += 1
+    if (i >= pts.length) pts
+    else {
+      val p = pts.clone()
+      java.util.Arrays.sort(p, (a: Pt, b: Pt) => Integer.compare(a.oid, b.oid))
+      p
+    }
+  }
+
   /** Oid-sorted union (two-pointer); an oid in both keeps `a`'s point. */
   def union(a: Array[Pt], b: Array[Pt]): Array[Pt] = {
     val out = new mutable.ArrayBuilder.ofRef[Pt]

@@ -24,6 +24,11 @@ import repro.core.ObjSets.ObjSet
   *     first step and any later extension or validation read are such
   *     batches; `select` is the `[t, t]` case.
   *
+  * Neither statement sorts: the engine returns rows in its parallel scan's
+  * order, which keeps neither `t` nor oid order. The store files them by `t`
+  * and puts each timestamp in oid order itself, which costs one pass when
+  * they arrived in order, so every answer keeps the trait's oid order.
+  *
   * Every row materialized over JDBC is charged to the read counter.
   */
 final class RdbmsStore private (
@@ -41,7 +46,7 @@ final class RdbmsStore private (
     """WITH k AS (SELECT unnest(string_split(?, ','))::INTEGER AS t0, unnest(string_split(?, ','))::INTEGER AS t1,
       |  unnest(string_split(?, ','))::INTEGER AS oid)
       |SELECT traj.t, traj.oid, traj.x, traj.y FROM traj JOIN k ON traj.oid = k.oid AND traj.t BETWEEN k.t0 AND k.t1
-      |WHERE traj.t BETWEEN ? AND ? ORDER BY traj.t, traj.oid""".stripMargin)
+      |WHERE traj.t BETWEEN ? AND ?""".stripMargin)
 
   override def snapshot(t: Int): Array[Pt] = snapshots(Seq(t)).head
 
@@ -54,10 +59,10 @@ final class RdbmsStore private (
     val byTime = mutable.LongMap.empty[ArrayBuffer[Pt]]
     if (wanted.nonEmpty) {
       val st = conn.createStatement()
-      try collect(st.executeQuery(wanted.mkString("SELECT t, oid, x, y FROM traj WHERE t IN (", ",", ") ORDER BY t, oid")), byTime)
+      try collect(st.executeQuery(wanted.mkString("SELECT t, oid, x, y FROM traj WHERE t IN (", ",", ")")), byTime)
       finally st.close()
     }
-    val rows = byTime.mapValuesNow(_.toArray)
+    val rows = byTime.mapValuesNow(r => Pts.inOidOrder(r.toArray))
     times.map(rows.getOrElse(_, Array.empty[Pt]))
   }
 
@@ -73,7 +78,7 @@ final class RdbmsStore private (
     val live = reqs.lazyZip(spans).flatMap { case ((_, oids, _, _), span) => span.map { case (lo, hi) => (oids, lo, hi) } }
     val byTime = mutable.LongMap.empty[ArrayBuffer[Pt]]
     if (live.nonEmpty) keyJoin(live, byTime)
-    val rows = byTime.mapValuesNow(_.toArray)
+    val rows = byTime.mapValuesNow(r => Pts.inOidOrder(r.toArray))
     reqs.lazyZip(spans).map {
       case ((t, _, _, _), None) => (t, Seq(Array.empty[Pt]))
       case ((_, oids, _, _), Some((lo, hi))) => (lo, (lo to hi).map(u => rows.get(u).fold(Array.empty[Pt])(Pts.select(_, oids))))
@@ -104,8 +109,8 @@ final class RdbmsStore private (
     collect(keyStmt.executeQuery(), byTime)
   }
 
-  /** Append the `(t, oid, x, y)` rows of `rs`, ordered by `(t, oid)`, to
-    * `byTime`, then close `rs`. Every row materialized counts as I/O.
+  /** Append the `(t, oid, x, y)` rows of `rs`, in the engine's scan order,
+    * to `byTime`, then close `rs`. Every row materialized counts as I/O.
     */
   private def collect(rs: ResultSet, byTime: mutable.LongMap[ArrayBuffer[Pt]]): Unit =
     try while (rs.next()) {

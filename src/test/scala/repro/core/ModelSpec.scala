@@ -73,6 +73,35 @@ class ModelSpec extends AnyFunSuite {
     }
   }
 
+  test("Pts.inOidOrder returns an array already in oid order as the same instance") {
+    val sorted = Array(Pt(Int.MinValue, 0, 0), Pt(-1, 1, 1), Pt(0, 2, 2), Pt(Int.MaxValue, 3, 3))
+    assert(Pts.inOidOrder(sorted) eq sorted)
+    val ties = Array(Pt(1, 0, 0), Pt(1, 1, 1), Pt(2, 2, 2))
+    assert(Pts.inOidOrder(ties) eq ties)
+  }
+
+  test("Pts.inOidOrder sorts an unsorted array into a copy, stably, and leaves the input as it was") {
+    val rng = new Random(4)
+    for (_ <- 1 to 200) {
+      val in = Array.fill(2 + rng.nextInt(12))(Pt(rng.nextInt(8) - 4, rng.nextDouble(), rng.nextDouble()))
+      val before = in.toSeq
+      val out = Pts.inOidOrder(in)
+      assert(in.toSeq == before)
+      assert(out.toSeq == before.sortBy(_.oid), s"$before") // `sortBy` is stable
+      if (before.map(_.oid) != before.map(_.oid).sorted) assert(out ne in)
+    }
+    val desc = Array(Pt(Int.MaxValue, 0, 0), Pt(0, 1, 1), Pt(Int.MinValue, 2, 2))
+    assert(Pts.inOidOrder(desc).map(_.oid).toSeq == Seq(Int.MinValue, 0, Int.MaxValue))
+    assert(desc.map(_.oid).toSeq == Seq(Int.MaxValue, 0, Int.MinValue))
+  }
+
+  test("Pts.inOidOrder returns an empty or one-point array as the same instance") {
+    val empty = Array.empty[Pt]
+    val one = Array(Pt(7, 1, 2))
+    assert(Pts.inOidOrder(empty) eq empty)
+    assert(Pts.inOidOrder(one) eq one)
+  }
+
   test("Pts.select on empty inputs and absent oids") {
     val pts = Array(Pt(Int.MinValue, 0, 0), Pt(-3, 1, 1), Pt(4, 2, 2), Pt(Int.MaxValue, 3, 3))
     assert(Pts.select(Array.empty[Pt], os(1, 2)).isEmpty)

@@ -363,6 +363,35 @@ class StoreSpec extends AnyFunSuite {
     assert(td.byTime(2).map(_.oid).toSeq == Seq(1, 3))
   }
 
+  test("RdbmsStore answers in oid order on Brinkhoff-lite x2, where DuckDB's scan returns timestamps out of oid order") {
+    // T-Drive shows no timestamp out of oid order; on this data, some
+    // benchmark snapshots arrive out of order in most reads. A store that
+    // filed them as they came would drop points in `Pts.select`.
+    val big = TrajGen.brinkhoffLite(scale = 2.0)
+    val p = KHalfHop.Params(3, 20, 25.0)
+    val mem = new MemStore(big)
+    val db = RdbmsStore.create(big)
+    try {
+      def same(got: Seq[Array[Pt]], want: Seq[Array[Pt]]): Boolean =
+        got.length == want.length && got.lazyZip(want).forall(_ sameElements _)
+      val bps = KHalfHop.benchmarkPoints(big.ts, big.te, p.k)
+      val batch = TestData.replayToExtension(big, mem, p)._2.head.map(a => (a.t, a.oids, a.t0, a.t1))
+      for (i <- 1 to 5) {
+        assert(same(db.snapshots(bps), mem.snapshots(bps)), s"snapshots, read $i")
+        // DuckDB answers each request over its span, MemStore at `t` alone.
+        val got = db.selectMany(batch)
+        assert(got.map(_._2.length).sum > batch.length, "the batch should read whole spans")
+        batch.lazyZip(got).foreach { case ((_, oids, _, _), (lo, pts)) =>
+          assert(same(pts, pts.indices.map(j => mem.select(lo + j, oids))), s"HWMT batch from $lo, read $i")
+        }
+      }
+      val (expected, report) = KHalfHop.run(mem, p)
+      assert(expected.nonEmpty, "fixture should contain convoys")
+      val (got, r) = KHalfHop.run(db, p)
+      assert(got == expected && r.pointsProcessed == report.pointsProcessed)
+    } finally db.close()
+  }
+
   test("TestData.restrictTo keeps only the given objects") {
     val r = TestData.restrictTo(data, ObjSets.of(Seq(0, 1)))
     assert(r.iterator.forall { case (_, p) => p.oid == 0 || p.oid == 1 })
